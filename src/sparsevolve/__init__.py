@@ -13,11 +13,41 @@ import os as _os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
-try:  # if numpy was imported first the env vars are too late; fix up at runtime
-    import threadpoolctl as _threadpoolctl
 
-    _threadpoolctl.threadpool_limits(limits=1, user_api="blas")
-except Exception:  # pragma: no cover
-    pass
+def _pin_bundled_openblas() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread through its own setter.
+
+    The environment variables are read only when that library loads, so they
+    are too late in a process that imported numpy first. Returns False when
+    no bundled OpenBLAS with the setter is found.
+    """
+    import ctypes
+    import glob
+
+    import numpy
+
+    libdir = _os.path.join(_os.path.dirname(numpy.__file__), _os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(_os.path.join(libdir, "libscipy_openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return True
+    return False
+
+
+if not _pin_bundled_openblas():
+    try:  # other BLAS builds: fix up at runtime when threadpoolctl is available
+        import threadpoolctl as _threadpoolctl
+
+        _threadpoolctl.threadpool_limits(limits=1, user_api="blas")
+    except ImportError:  # pragma: no cover
+        pass
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import DeltaOptimState, SparseDelta, effective_weights, insert_entries, remove_entries
+from .delta import DeltaOptimState, SparseDelta, effective_weights, insert_entries, merged_support, remove_entries, top_k
 from .pruning import Mask
 
 log = logging.getLogger(__name__)
@@ -37,7 +37,7 @@ def keep_budget(numel: int, sparsity: float) -> int:
 
 def support_coords(mask: Mask, td) -> np.ndarray:
     """Sorted union of mask coordinates and delta coordinates."""
-    return np.union1d(np.flatnonzero(mask.bits.reshape(-1)), td.indices)
+    return np.flatnonzero(merged_support(mask.bits, td))
 
 
 def compute_sensitivity(
@@ -103,12 +103,13 @@ def rebuild_mask(
     """
     budget = keep_budget(mask.bits.size, sparsity)
     if coords.size < budget:
-        log.warning("rebuild_mask: %s support %d below keep budget %d (already at/below target)", name, coords.size, budget)
+        log.debug("rebuild_mask: %s support %d below keep budget %d (already at/below target)", name, coords.size, budget)
         return 0, 0, False
     if coords.size == budget:
         return 0, 0, False
-    order = np.argsort(-scores, kind="stable")
-    removed = np.sort(coords[order[budget:]])
+    kept = np.zeros(coords.size, dtype=bool)
+    kept[top_k(scores, budget)] = True
+    removed = coords[~kept]
     flat_bits = mask.bits.reshape(-1)
     pruned_base = int(flat_bits[removed].sum())
     flat_bits[removed] = False
@@ -142,42 +143,36 @@ def repair_support(
         support = support_coords(masks[name], td)
         deficit = keep_budget(bits.size, sparsity) - support.size
         if deficit > 0:
-            flat = np.abs(window[name].reshape(-1)).copy()
+            flat = np.abs(window[name].reshape(-1))
             eligible = np.ones(flat.size, dtype=bool)
             eligible[support] = False
             if restrict_to_mask:
                 eligible &= bits
-            order = np.argsort(-flat, kind="stable")
-            picks = order[eligible[order]][:deficit].astype(np.int64)
-            if picks.size < deficit:
-                log.warning("repair_support: %s lacks candidates for %d of %d repairs", name, deficit - picks.size, deficit)
+            n_picks = min(deficit, int(np.count_nonzero(eligible)))
+            if n_picks < deficit:
+                log.warning("repair_support: %s lacks candidates for %d of %d repairs", name, deficit - n_picks, deficit)
             slack = delta.budgets[name] - len(td)
-            overflow = picks.size - slack
+            overflow = n_picks - slack
             if overflow > 0:
                 covered = bits[td.indices]
                 n_sac = min(overflow, int(covered.sum()))
                 if n_sac < overflow:
                     log.warning(
-                        "repair_support: %s entry budget exhausted, repairing %d of %d", name, slack + n_sac, picks.size
+                        "repair_support: %s entry budget exhausted, repairing %d of %d", name, slack + n_sac, n_picks
                     )
-                    picks = picks[: slack + n_sac]
+                    n_picks = slack + n_sac
                 if n_sac > 0:
                     vals = np.abs(td.values.astype(np.float64))
                     vals[~covered] = np.inf  # only sacrifice entries the mask still covers
-                    sac_order = np.argsort(vals, kind="stable")
-                    sacrifice = np.sort(td.indices[sac_order[:n_sac]])
-                    remove_entries(delta, name, sacrifice, optim)
-            insert_entries(delta, name, np.sort(picks), optim)
-            repaired += picks.size
+                    remove_entries(delta, name, td.indices[top_k(-vals, n_sac)], optim)
+            insert_entries(delta, name, top_k(flat, n_picks, eligible), optim)
+            repaired += n_picks
         free = delta.budgets[name] - len(td)
         if free > 0:
             # support-neutral refill: new entries only at mask-covered coordinates
-            flat = np.abs(window[name].reshape(-1))
             eligible = bits.copy()
             eligible[td.indices] = False
-            order = np.argsort(-flat, kind="stable")
-            extra = order[eligible[order]][:free].astype(np.int64)
-            insert_entries(delta, name, np.sort(extra), optim)
+            insert_entries(delta, name, top_k(np.abs(window[name].reshape(-1)), free, eligible), optim)
     return repaired
 
 
@@ -187,6 +182,7 @@ class AdaptationReport:
     pruned_base: int = 0
     pruned_delta: int = 0
     repaired: int = 0
+    under_budget: int = 0  # tensors whose support was already below budget before the trim (normal after drops)
     merged_sparsity: float = 0.0
     per_tensor_sparsity: dict[str, float] = field(default_factory=dict)
 
@@ -218,6 +214,7 @@ def adaptation_step(
     report = AdaptationReport(step=step)
     for name in delta.slices:
         coords, scores = scored[name]
+        report.under_budget += int(coords.size < keep_budget(masks[name].bits.size, sparsity))
         pb, pd, _ = rebuild_mask(coords, scores, sparsity, masks[name], delta, name, optim)
         report.pruned_base += pb
         report.pruned_delta += pd

@@ -5,6 +5,11 @@ then walks the recording in reverse and accumulates gradients into every
 reachable tensor that requires them. Outside a tape, ops just compute values
 (cheap inference mode).
 
+A tape holds its recorded tensors weakly: the graph is owned by the loss
+through each tensor's parents, so when the loss goes out of scope its
+activations, intermediate gradients and the tape itself are freed by
+reference count, without waiting for the cyclic garbage collector.
+
 Reductions are performed in numpy's fixed row-major order, so forward and
 backward results are bitwise reproducible for identical inputs on the same
 machine. One tape is single-threaded; independent tapes may run on separate
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,7 +41,7 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
@@ -83,7 +89,7 @@ class Tape:
     """Ordered recording of ops; recording order is a topological order."""
 
     def __init__(self):
-        self.ops: list[Tensor] = []
+        self.ops: list[weakref.ref[Tensor]] = []  # weak: a strong list would close a cycle through Tensor.node
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -121,7 +127,7 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> Tensor:
     tape = active_tape()
     if tape is not None and any(_tracked(p) for p in parents):
         out.node = _Node(parents=parents, vjp=vjp, tape=tape)
-        tape.ops.append(out)
+        tape.ops.append(weakref.ref(out))
     return out
 
 
@@ -137,8 +143,9 @@ def backward(loss: Tensor) -> None:
         raise ValueError("backward: loss is not recorded on a tape")
     tape = loss.node.tape
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    for t in reversed(tape.ops):
-        if t.grad is None or t.node is None:
+    for ref in reversed(tape.ops):
+        t = ref()
+        if t is None or t.grad is None or t.node is None:
             continue
         grads_in = t.node.vjp(t.grad)
         for parent, g in zip(t.node.parents, grads_in):

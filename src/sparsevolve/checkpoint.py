@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import SparseDelta, TensorDelta, effective_weights
+from .delta import SparseDelta, TensorDelta, effective_weights, merged_support
 from .models import ParamTree
 from .pruning import Mask
 
@@ -278,16 +278,14 @@ def inspect_checkpoint(path: str, nm: tuple[int, int] | None = None) -> InspectR
         if bits is None:
             rows.append(InspectRow(name, numel, None, entries, numel, None))
             continue
-        flat = bits.reshape(-1).copy()
-        if td is not None:
-            flat[td.indices] = True
-        support = int(flat.sum())
+        merged = merged_support(bits, td)
+        support = int(np.count_nonzero(merged))
         rows.append(InspectRow(name, numel, int(bits.sum()), entries, support, 1.0 - support / numel))
         total += numel
         active += support
         if nm is not None:
             n, m = nm
-            merged_mask = Mask(name, flat.reshape(bits.shape), pattern="nm", n=n, m=m)
+            merged_mask = Mask(name, merged, pattern="nm", n=n, m=m)
             for r, g in merged_mask.nm_violations():
                 violations.append((name, r, g))
     return InspectReport(

@@ -31,6 +31,45 @@ class TensorDelta:
         return int(self.indices.size)
 
 
+def top_k(scores: np.ndarray, k: int, eligible: np.ndarray | None = None) -> np.ndarray:
+    """Sorted flat positions of the ``k`` largest scores among the eligible ones.
+
+    Ties go to the lower position and NaN ranks last, so the result is the set
+    ``np.argsort(-scores, kind="stable")`` filtered by ``eligible`` and cut at
+    ``k`` would give, found in linear time: a partition locates the k-th value,
+    then every score above it is taken plus the lowest-position ties. Fewer
+    than ``k`` eligible positions returns all of them.
+    """
+    scores = np.asarray(scores).reshape(-1)
+    cand = None
+    if eligible is not None:
+        cand = np.flatnonzero(eligible)
+        scores = scores[cand]
+    if k <= 0:
+        return np.zeros(0, dtype=np.int64)
+    if k >= scores.size:
+        return cand if cand is not None else np.arange(scores.size, dtype=np.int64)
+    neg = -scores  # ascending order of neg is the ranking; partition puts NaN last
+    kth = np.partition(neg, k - 1)[k - 1]
+    if np.isnan(kth):
+        above = ~np.isnan(neg)
+        tied = np.flatnonzero(~above)
+    else:
+        above = neg < kth
+        tied = np.flatnonzero(neg == kth)
+    above[tied[: k - int(np.count_nonzero(above))]] = True
+    picks = np.flatnonzero(above)
+    return cand[picks] if cand is not None else picks
+
+
+def merged_support(bits: np.ndarray, td: TensorDelta | None) -> np.ndarray:
+    """Bitmap of the merged model's active coordinates: mask bits or delta entries, shaped like ``bits``."""
+    out = np.array(bits, dtype=bool)
+    if td is not None:
+        out.reshape(-1)[td.indices] = True
+    return out
+
+
 class SparseDelta:
     """Per-tensor sparse updates under a global entry budget."""
 
@@ -96,8 +135,7 @@ def init_support(
                 raise ValueError(
                     f"init_support: budget {budget} exceeds {available} active coordinates for {name}"
                 )
-        order = np.argsort(-live, kind="stable")
-        idx = np.sort(order[:budget])
+        idx = top_k(live, budget)
         delta.slices[name] = TensorDelta(idx, np.zeros(budget, dtype=dtype), dtype=dtype)
     return delta
 
@@ -178,11 +216,22 @@ def insert_entries(delta: SparseDelta, name: str, new_indices: np.ndarray, optim
     inb = pos < len(td)
     if np.any(td.indices[pos[inb]] == new_indices[inb]):
         raise ValueError(f"insert_entries: index already present for {name}")
-    td.indices = np.insert(td.indices, pos, new_indices)
-    td.values = np.insert(td.values, pos, np.zeros(new_indices.size, dtype=td.values.dtype))
+    # one merged layout for the four aligned arrays: new entries land at `at`
+    at = pos + np.arange(new_indices.size)
+    old = np.ones(len(td) + new_indices.size, dtype=bool)
+    old[at] = False
+
+    def merged(arr: np.ndarray) -> np.ndarray:
+        out = np.zeros(old.size, dtype=arr.dtype)
+        out[old] = arr
+        return out
+
+    td.indices = merged(td.indices)
+    td.indices[at] = new_indices
+    td.values = merged(td.values)
     if optim is not None:
-        optim.m[name] = np.insert(optim.m[name], pos, 0.0)
-        optim.v[name] = np.insert(optim.v[name], pos, 0.0)
+        optim.m[name] = merged(optim.m[name])
+        optim.v[name] = merged(optim.v[name])
 
 
 def remove_entries(delta: SparseDelta, name: str, drop_indices: np.ndarray, optim: DeltaOptimState | None = None) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import DeltaOptimState, SparseDelta, TensorDelta, insert_entries, remove_entries
+from .delta import DeltaOptimState, SparseDelta, TensorDelta, insert_entries, remove_entries, top_k
 from .pruning import Mask
 
 
@@ -82,10 +82,7 @@ def select_drop(td: TensorDelta, count: int) -> np.ndarray:
     """Coordinates of the ``count`` entries with smallest |value|, ties to lower index."""
     if count > len(td):
         raise ValueError(f"select_drop: count {count} exceeds support {len(td)}")
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(np.abs(td.values), kind="stable")
-    return np.sort(td.indices[order[:count]])
+    return td.indices[top_k(-np.abs(td.values), count)]
 
 
 def select_grow(
@@ -108,12 +105,8 @@ def select_grow(
         if mask_bits is None:
             raise ValueError("select_grow: mask required when growth is restricted")
         eligible &= mask_bits.reshape(-1)
-    if count == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    order = np.argsort(-flat, kind="stable")
-    picks = order[eligible[order]][:count]
-    shortfall = count - picks.size
-    return np.sort(picks.astype(np.int64)), int(shortfall)
+    picks = top_k(flat, count, eligible)
+    return picks, int(count - picks.size)
 
 
 @dataclass

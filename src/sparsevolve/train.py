@@ -462,7 +462,7 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
                 on_event(EventState(step, masks, delta, theta, report, arep))
 
         timings.write(f"{step},{(time.perf_counter() - t0) * 1000:.3f}\n")
-        if cfg.eval_every and (step % cfg.eval_every == 0 or step == cfg.steps):
+        if step == cfg.steps or (cfg.eval_every and step % cfg.eval_every == 0):
             eval_row(step, train_loss, delta, quota=drop_quota(step, schedule, delta.budget_total))
 
     _save_state(cfg, tree, theta, masks, delta, result.checkpoint, result)
@@ -485,7 +485,7 @@ def _train_lora(cfg, tree, forward, task, rng, masks, theta, metrics, timings, e
         train_loss = _backward_pass(cfg, tree, forward, task, rng, cfg.vocab, adapters=adapters)
         opt.step(grad_scale=1.0 / cfg.grad_accum)
         timings.write(f"{step},{(time.perf_counter() - t0) * 1000:.3f}\n")
-        if cfg.eval_every and (step % cfg.eval_every == 0 or step == cfg.steps):
+        if step == cfg.steps or (cfg.eval_every and step % cfg.eval_every == 0):
             eval_row(step, train_loss, None, adapters=adapters)
 
     if cfg.method == "lora-star":

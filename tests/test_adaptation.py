@@ -11,7 +11,7 @@ from sparsevolve.adaptation import (
     repair_support,
     support_coords,
 )
-from sparsevolve.delta import DeltaOptimState, SparseDelta, TensorDelta
+from sparsevolve.delta import DeltaOptimState, SparseDelta, TensorDelta, insert_entries, remove_entries
 from sparsevolve.pruning import Mask
 
 
@@ -129,14 +129,24 @@ def test_rebuild_kept_delta_only_coordinate_stays_unmasked():
     np.testing.assert_array_equal(d.slices["t"].indices, [3])
 
 
-def test_rebuild_below_budget_is_noop_with_warning(caplog):
+def test_rebuild_below_budget_is_noop_logged_at_debug(caplog):
     theta, mask, d = state(10, [0, 1], [], [])
     coords = support_coords(mask, d.slices["t"])
-    with caplog.at_level("WARNING", logger="sparsevolve.adaptation"):
+    with caplog.at_level("DEBUG", logger="sparsevolve.adaptation"):
         pb, pd, trimmed = rebuild_mask(coords, np.ones(2), 0.6, mask, d, "t")
     assert not trimmed and pb == 0
+    assert [r.levelname for r in caplog.records] == ["DEBUG"]  # normal after drops: no WARNING
     assert "below keep budget" in caplog.text
     np.testing.assert_array_equal(np.flatnonzero(mask.bits), [0, 1])
+
+
+def test_adaptation_counts_under_budget_tensors():
+    theta, mask, d = state(10, [0, 1], [5], [0.5], budget=4)  # support 3, keep budget 5
+    window = {"t": np.arange(10, dtype=np.float64).reshape(1, 10)}
+    rep = adaptation_step(window, {"t": theta}, {"t": mask}, d, None, 0.5, step=10)
+    assert rep.under_budget == 1 and rep.repaired == 2
+    theta, mask, d = state(10, range(5), [6], [0.5], budget=1)  # support 6: trimmed, not under
+    assert adaptation_step(window, {"t": theta}, {"t": mask}, d, None, 0.5).under_budget == 0
 
 
 def test_rebuild_never_creates_support():
@@ -207,6 +217,68 @@ def test_repair_noop_when_at_budget():
     theta, mask, d = state(4, [0, 1], [], [])
     window = {"t": np.ones((1, 4))}
     assert repair_support(window, {"t": mask}, d, None, 0.5) == 0
+
+
+def reference_repair(window, masks, delta, optim, sparsity, restrict_to_mask=False):
+    """Full-sort repair: stable argsort rankings, picks truncated in rank order."""
+    repaired = 0
+    for name, td in delta.slices.items():
+        bits = masks[name].bits.reshape(-1)
+        support = np.union1d(np.flatnonzero(bits), td.indices)
+        deficit = keep_budget(bits.size, sparsity) - support.size
+        flat = np.abs(window[name].reshape(-1))
+        order = np.argsort(-flat, kind="stable")
+        if deficit > 0:
+            eligible = np.ones(flat.size, dtype=bool)
+            eligible[support] = False
+            if restrict_to_mask:
+                eligible &= bits
+            picks = order[eligible[order]][:deficit]
+            slack = delta.budgets[name] - len(td)
+            overflow = picks.size - slack
+            if overflow > 0:
+                covered = bits[td.indices]
+                n_sac = min(overflow, int(covered.sum()))
+                picks = picks[: slack + n_sac]
+                if n_sac > 0:
+                    vals = np.abs(td.values.astype(np.float64))
+                    vals[~covered] = np.inf
+                    sacrifice = td.indices[np.argsort(vals, kind="stable")[:n_sac]]
+                    remove_entries(delta, name, sacrifice, optim)
+            insert_entries(delta, name, picks, optim)
+            repaired += picks.size
+        free = delta.budgets[name] - len(td)
+        if free > 0:
+            eligible = bits.copy()
+            eligible[td.indices] = False
+            insert_entries(delta, name, order[eligible[order]][:free], optim)
+    return repaired
+
+
+def test_repair_matches_full_sort_reference_randomized():
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        numel = int(rng.integers(4, 48))
+        mask_coords = np.flatnonzero(rng.random(numel) < rng.random())
+        n_delta = int(rng.integers(0, numel // 2 + 1))
+        delta_coords = np.sort(rng.choice(numel, size=n_delta, replace=False))
+        vals = rng.integers(-2, 3, size=n_delta) * 0.5  # ties, zeros
+        budget = n_delta + int(rng.integers(0, 4))
+        sparsity = float(rng.uniform(0.1, 0.9))
+        restrict = bool(rng.integers(0, 2))
+        window = {"t": rng.integers(-2, 3, size=(1, numel)).astype(np.float64)}
+        runs = []
+        for repair in (repair_support, reference_repair):
+            _, mask, d = state(numel, mask_coords, delta_coords, vals, budget=max(budget, 1))
+            opt = DeltaOptimState(d)
+            opt.m["t"] += np.arange(n_delta)
+            n = repair(window, {"t": mask}, d, opt, sparsity, restrict)
+            td = d.slices["t"]
+            runs.append((n, mask.bits.copy(), td.indices, td.values, opt.m["t"], opt.v["t"]))
+        got, want = runs
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(a, b)
 
 
 # --- adaptation step ---

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -218,3 +221,24 @@ def test_independent_tapes_do_not_interfere():
     np.testing.assert_array_equal(x.grad, [3.0])
     backward(l1)  # older tape still usable; grads accumulate
     np.testing.assert_array_equal(x.grad, [3.0 + 4.0])
+
+
+def test_tape_freed_by_reference_count(tiny_model):
+    cfg, tree, forward = tiny_model
+    tree.set_requires_grad(True)
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, cfg.vocab, size=(2, cfg.context))
+    y = rng.integers(0, cfg.vocab, size=2 * cfg.context)
+    gc.collect()
+    gc.disable()
+    try:
+        with Tape():
+            logits = forward(tree, ids)
+            loss = ad.cross_entropy(ad.reshape(logits, (-1, cfg.vocab)), y)
+            backward(loss)
+        activation = weakref.ref(logits)
+        del logits, loss
+        assert activation() is None
+        assert gc.collect() == 0  # nothing was left for the cyclic collector
+    finally:
+        gc.enable()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsevolve import autodiff as ad
 from sparsevolve.autodiff import Tape, Tensor, backward
@@ -14,8 +16,10 @@ from sparsevolve.delta import (
     init_support,
     insert_entries,
     materialize,
+    merged_support,
     remove_entries,
     sgd_step,
+    top_k,
 )
 from sparsevolve.models import ModelConfig, build_mlp, build_transformer
 from sparsevolve.pruning import Mask
@@ -228,6 +232,85 @@ def test_thousand_random_ops_vs_set_oracle():
         td = d.slices["t"]
         np.testing.assert_array_equal(td.indices, sorted(model))
         assert td.values.shape == td.indices.shape == opt.m["t"].shape == opt.v["t"].shape
+
+
+def reference_insert(td, m, v, new):
+    """The four-``np.insert`` layout: zero value and moments at each new coordinate."""
+    new = np.sort(new)
+    pos = np.searchsorted(td.indices, new)
+    return (
+        np.insert(td.indices, pos, new),
+        np.insert(td.values, pos, np.zeros(new.size, dtype=td.values.dtype)),
+        np.insert(m, pos, 0.0),
+        np.insert(v, pos, 0.0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(numel=st.integers(1, 60), seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]))
+def test_insert_entries_matches_np_insert_reference(numel, seed, dtype):
+    rng = np.random.default_rng(seed)
+    coords = rng.permutation(numel)
+    n_old = int(rng.integers(0, numel + 1))
+    n_new = int(rng.integers(0, numel - n_old + 1))
+    old, new = np.sort(coords[:n_old]), coords[n_old : n_old + n_new]  # new arrives unsorted
+    d = make_delta(old, rng.normal(size=n_old), budget=numel, dtype=dtype)
+    opt = DeltaOptimState(d)
+    opt.m["t"] = rng.normal(size=n_old)
+    opt.v["t"] = rng.random(n_old)
+    want = reference_insert(d.slices["t"], opt.m["t"], opt.v["t"], new)
+    insert_entries(d, "t", new, opt)
+    td = d.slices["t"]
+    for got, ref in zip((td.indices, td.values, opt.m["t"], opt.v["t"]), want):
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+
+
+def reference_top_k(scores, k, eligible=None):
+    """Stable full sort, filtered and cut: the ranking ``top_k`` must reproduce."""
+    order = np.argsort(-scores, kind="stable")
+    if eligible is not None:
+        order = order[eligible[order]]
+    return np.sort(order[:k])
+
+
+# few distinct values, so ties and NaN are common
+SCORE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]) | st.floats(-3, 3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
+def test_top_k_matches_stable_argsort(data, dtype):
+    n = data.draw(st.integers(0, 40))
+    scores = np.array(data.draw(st.lists(SCORE, min_size=n, max_size=n)), dtype=dtype)
+    eligible = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(lambda b: np.array(b, dtype=bool)))
+    k = data.draw(st.integers(0, n + 2))
+    got = top_k(scores, k, eligible)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, reference_top_k(scores, k, eligible))
+
+
+@pytest.mark.parametrize("scores", [np.full(9, 2.0), np.full(9, np.nan), np.array([1.0, np.nan, 1.0, np.nan, 3.0])])
+@pytest.mark.parametrize("k", [0, 1, 2, 4, 9, 20])
+def test_top_k_edge_cases(scores, k):
+    np.testing.assert_array_equal(top_k(scores, k), reference_top_k(scores, k))
+    eligible = np.arange(scores.size) % 2 == 1
+    np.testing.assert_array_equal(top_k(scores, k, eligible), reference_top_k(scores, k, eligible))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), with_delta=st.booleans())
+def test_merged_support_matches_union(rows, cols, seed, with_delta):
+    rng = np.random.default_rng(seed)
+    bits = rng.random((rows, cols)) < rng.random()
+    before = bits.copy()
+    idx = np.sort(rng.choice(rows * cols, size=int(rng.integers(0, rows * cols + 1)), replace=False))
+    td = TensorDelta(idx, np.zeros(idx.size)) if with_delta else None
+    got = merged_support(bits, td)
+    assert got.shape == bits.shape and got.dtype == bool
+    want = np.union1d(np.flatnonzero(bits), idx) if with_delta else np.flatnonzero(bits)
+    np.testing.assert_array_equal(np.flatnonzero(got), want)
+    np.testing.assert_array_equal(bits, before)  # the mask itself is untouched
 
 
 # --- init + materialize + gradient-through-merge ---

@@ -52,6 +52,22 @@ def test_seed_changes_results(tmp_path):
     assert open(r1.checkpoint, "rb").read() != open(r2.checkpoint, "rb").read()
 
 
+@pytest.mark.parametrize("method", ["seft", "lora"])
+def test_final_ppl_is_evaluated_after_last_step(tmp_path, capsys, method):
+    from sparsevolve.cli import main
+
+    finals = []
+    for steps in (10, 20):
+        res = train(cfg_for(tmp_path, method=method, steps=steps, eval_every=0, run_name=f"{method}{steps}"))
+        assert res.eval_history[-1][0] == steps
+        assert ck.load_meta(res.checkpoint)["final_ppl"] == res.final_ppl
+        capsys.readouterr()
+        assert main(["eval", res.checkpoint]) == 0  # a fresh evaluate_ppl of the saved model
+        assert capsys.readouterr().out.strip() == f"val perplexity {res.final_ppl:.6f}"
+        finals.append(res.final_ppl)
+    assert finals[0] != finals[1]
+
+
 def test_seft_improves_over_frozen_quickly(tmp_path):
     frozen = train(cfg_for(tmp_path, method="frozen", run_name="fr"))
     tuned = train(cfg_for(tmp_path, steps=60, run_name="tu"))
