@@ -6,6 +6,7 @@ adaptation that holds the merged model at an exact sparsity budget, and
 LoRA-family baselines, all at desk scale on a minimal autodiff engine.
 """
 
+import ctypes as _ctypes
 import os as _os
 
 # Single-threaded BLAS: reductions keep one fixed order (reproducible runs)
@@ -14,14 +15,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
 
-def _pin_bundled_openblas() -> bool:
-    """Set numpy's bundled OpenBLAS to one thread through its own setter.
+def _openblas_fn(name: str, argtypes: list, restype):
+    """``scipy_openblas_<name>`` of numpy's bundled OpenBLAS, typed; None when there is none.
 
-    The environment variables are read only when that library loads, so they
-    are too late in a process that imported numpy first. Returns False when
-    no bundled OpenBLAS with the setter is found.
+    Called through the library itself because the environment variables are
+    read only when it loads, which is too late in a process that imported
+    numpy first.
     """
-    import ctypes
     import glob
 
     import numpy
@@ -29,20 +29,28 @@ def _pin_bundled_openblas() -> bool:
     libdir = _os.path.join(_os.path.dirname(numpy.__file__), _os.pardir, "numpy.libs")
     for path in sorted(glob.glob(_os.path.join(libdir, "libscipy_openblas*.so*"))):
         try:
-            lib = ctypes.CDLL(path)
+            lib = _ctypes.CDLL(path)
         except OSError:
             continue
         for suffix in ("64_", ""):
-            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                return True
-    return False
+            fn = getattr(lib, f"scipy_openblas_{name}{suffix}", None)
+            if fn is not None:
+                fn.argtypes = argtypes
+                fn.restype = restype
+                return fn
+    return None
 
 
-if not _pin_bundled_openblas():
+def blas_threads() -> int | None:
+    """Thread count numpy's bundled OpenBLAS reports now; None without such a library."""
+    get = _openblas_fn("get_num_threads", [], _ctypes.c_int)
+    return None if get is None else int(get())
+
+
+_set_threads = _openblas_fn("set_num_threads", [_ctypes.c_int], None)
+if _set_threads is not None:
+    _set_threads(1)
+else:
     try:  # other BLAS builds: fix up at runtime when threadpoolctl is available
         import threadpoolctl as _threadpoolctl
 

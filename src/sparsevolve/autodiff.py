@@ -2,19 +2,23 @@
 
 Ops executed inside a ``with Tape():`` block are recorded; ``backward(loss)``
 then walks the recording in reverse and accumulates gradients into every
-reachable tensor that requires them. Outside a tape, ops just compute values
-(cheap inference mode).
+reachable leaf (a tensor with ``requires_grad`` and no recording node).
 
-A tape holds its recorded tensors weakly: the graph is owned by the loss
-through each tensor's parents, so when the loss goes out of scope its
-activations, intermediate gradients and the tape itself are freed by
+Backward releases the graph as it goes: once a node's VJP has run, the
+tensor drops its node, so its activations can be freed before ``backward``
+returns. Intermediate gradients are never stored on tensors, and a loss can
+be backpropagated only once. A tape holds its recorded tensors weakly: the
+graph is owned by the loss through each tensor's parents, so it is freed by
 reference count, without waiting for the cyclic garbage collector.
 
 Reductions are performed in numpy's fixed row-major order, so forward and
 backward results are bitwise reproducible for identical inputs on the same
-machine. One tape is single-threaded; independent tapes may run on separate
-threads as long as they share no mutable tensors (the tape stack is
-thread-local).
+machine. Threading model: one tape is single-threaded, and the tape stack is
+thread-local, so independent graphs may be built and backpropagated on
+separate threads while they only read shared leaves. Such threads must not
+write ``.grad`` of a shared leaf: each passes its own ``leaf_grads`` store to
+``backward``, and the owner folds the stores in a fixed order with
+``accumulate``, which gives the same bits as one backward after another.
 """
 
 from __future__ import annotations
@@ -123,38 +127,67 @@ def _tracked(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
-def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def _recording(parents: tuple[Tensor, ...]) -> Tape | None:
+    """The tape an op over ``parents`` would be recorded on, or None."""
     tape = active_tape()
     if tape is not None and any(_tracked(p) for p in parents):
+        return tape
+    return None
+
+
+def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    tape = _recording(parents)
+    if tape is not None:
         out.node = _Node(parents=parents, vjp=vjp, tape=tape)
         tape.ops.append(weakref.ref(out))
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate dL/dx into every tracked tensor reachable from ``loss``.
+def backward(loss: Tensor, leaf_grads: dict[Tensor, list[np.ndarray]] | None = None) -> None:
+    """Propagate dL/dx from ``loss`` to every tracked leaf reachable from it.
 
-    Contributions across fan-out sum. Requires ``loss`` to be a scalar
-    recorded on a tape.
+    Contributions across fan-out sum in the order the VJPs produce them.
+    Without ``leaf_grads`` they are added into each leaf's ``.grad``; with
+    it, each leaf's contributions are appended, in that order, to
+    ``leaf_grads[leaf]`` and no ``.grad`` is touched (see ``accumulate``).
+    Each node is released after its VJP runs, so the graph cannot be walked
+    twice. Requires ``loss`` to be a scalar recorded on a tape.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if loss.node is None:
         raise ValueError("backward: loss is not recorded on a tape")
-    tape = loss.node.tape
-    loss.grad = np.ones((), dtype=loss.data.dtype)
-    for ref in reversed(tape.ops):
+    store: dict[Tensor, list[np.ndarray]] = {} if leaf_grads is None else leaf_grads
+    # the tape refs are weak: this map keeps each tensor alive until its gradient has propagated
+    pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones((), dtype=loss.data.dtype))}
+    for ref in reversed(loss.node.tape.ops):
         t = ref()
-        if t is None or t.grad is None or t.node is None:
+        if t is None:
             continue
-        grads_in = t.node.vjp(t.grad)
-        for parent, g in zip(t.node.parents, grads_in):
+        entry = pending.pop(id(t), None)
+        if entry is None or t.node is None:
+            continue
+        node, t.node = t.node, None
+        grads_in = node.vjp(entry[1])
+        for parent, g in zip(node.parents, grads_in):
             if g is None or not _tracked(parent):
                 continue
-            if parent.grad is None:
-                parent.grad = g
+            if parent.node is None:
+                store.setdefault(parent, []).append(g)
+            elif id(parent) in pending:
+                pending[id(parent)] = (parent, pending[id(parent)][1] + g)
             else:
-                parent.grad = parent.grad + g
+                pending[id(parent)] = (parent, g)
+        del node, grads_in, entry  # hold nothing of this node while the next VJP runs
+    if leaf_grads is None:
+        accumulate(store)
+
+
+def accumulate(leaf_grads: dict[Tensor, list[np.ndarray]]) -> None:
+    """Add each leaf's stored contributions into its ``.grad``, in order."""
+    for leaf, grads in leaf_grads.items():
+        for g in grads:
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +272,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w.T + b`` as one node; ``w`` is ``[out, in]``, ``b`` an optional ``[out]`` bias.
+
+    Makes the same numpy calls as ``add(matmul(x, transpose(w, (1, 0))), b)``,
+    so forward values and all three gradients are bitwise equal to that graph.
+    """
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.ndim < 2 or xd.shape[-1] != wd.shape[1]:
+        raise ShapeError("linear", xd.shape, wd.shape)
+    if b is not None and b.data.shape != (wd.shape[0],):
+        raise ShapeError("linear", wd.shape, b.data.shape)
+    y = xd @ wd.T
+    out = Tensor(y if b is None else y + b.data)
+    n_in, n_out = wd.shape[1], wd.shape[0]
+
+    def vjp(g):
+        gx = gw = gb = None
+        if _tracked(x):
+            gx = g @ wd
+        if _tracked(w):
+            gw = (xd.reshape(-1, n_in).T @ g.reshape(-1, n_out)).T
+        if b is not None and _tracked(b):
+            gb = g.reshape(-1, n_out).sum(axis=0)
+        return gx, gw, gb
+
+    return _record(out, (x, w) if b is None else (x, w, b), vjp)
+
+
 def relu(a: Tensor) -> Tensor:
     keep = a.data > 0
     out = Tensor(np.where(keep, a.data, 0.0))
@@ -253,24 +314,31 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU; the derivative is computed here, and kept, only when recording."""
     x = a.data
     x2 = x * x
     inner = _GELU_C * (x + 0.044715 * (x2 * x))
     t = np.tanh(inner)
     out = Tensor(0.5 * x * (1.0 + t))
+    if _recording((a,)) is None:
+        return out
+    sech2 = 1.0 - t * t
+    d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x2)
 
     def vjp(g):
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x2)
         return (g * d,)
 
     return _record(out, (a,), vjp)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Row softmax over the last axis (numerically shifted)."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
+def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Row softmax over the last axis (numerically shifted).
+
+    ``mask`` is a constant added to ``a`` before the softmax (broadcast over
+    the leading axes, e.g. a causal ``(T, T)`` mask of 0 and a large negative).
+    """
+    x = a.data if mask is None else a.data + mask
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)

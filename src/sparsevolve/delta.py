@@ -168,12 +168,6 @@ def _check_aligned(delta: SparseDelta, grads: dict[str, np.ndarray]) -> None:
             raise ValueError(f"optimizer step: gradient for {name} misaligned (got {got}, need {td.values.shape})")
 
 
-def sgd_step(delta: SparseDelta, grads: dict[str, np.ndarray], lr: float) -> None:
-    _check_aligned(delta, grads)
-    for name, td in delta.slices.items():
-        td.values = (td.values - lr * grads[name]).astype(td.values.dtype)
-
-
 def adamw_step(
     delta: SparseDelta,
     optim: DeltaOptimState,
@@ -199,8 +193,8 @@ def adamw_step(
         v *= beta2
         v += (1.0 - beta2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        new = td.values.astype(np.float64) - lr * (update + weight_decay * td.values.astype(np.float64))
-        td.values = new.astype(td.values.dtype)
+        phi = td.values.astype(np.float64)
+        td.values = (phi - lr * (update + weight_decay * phi)).astype(td.values.dtype)
 
 
 def insert_entries(delta: SparseDelta, name: str, new_indices: np.ndarray, optim: DeltaOptimState | None = None) -> None:

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
-from .evolution import EvolutionSchedule
 from .models import INIT_STD, ParamTree
 from .pruning import Mask, build_mask, collect_activation_norms, score_wanda
 
@@ -53,13 +51,6 @@ def build_adapters(tree: ParamTree, rank: int, seed: int = 0, scale: float = 1.0
 
 def trainable_count(adapters: dict[str, LoraAdapter]) -> int:
     return sum(ad_.param_count() for ad_ in adapters.values())
-
-
-def lora_forward(w_sparse: Tensor, a: Tensor, b: Tensor, x: Tensor, scale: float = 1.0) -> Tensor:
-    """x @ W_sparse^T plus the low-rank path (x @ A^T) @ B^T * scale."""
-    base = ad.matmul(x, ad.transpose(w_sparse, (1, 0)))
-    low = ad.matmul(ad.matmul(x, ad.transpose(a, (1, 0))), ad.transpose(b, (1, 0)))
-    return ad.add(base, ad.scale(low, scale))
 
 
 def merge_adapters(theta_sparse: dict[str, np.ndarray], adapters: dict[str, LoraAdapter]) -> dict[str, np.ndarray]:
@@ -111,7 +102,3 @@ def merge_and_reprune(
         tensor.data = np.where(new_masks[name].bits, tensor.data, np.zeros((), dtype=tensor.data.dtype))
     return merged_dense, new_masks
 
-
-def constrained_seft_mode(schedule: EvolutionSchedule, flag: bool = True) -> None:
-    """Restrict delta growth to currently active coordinates (ablation mode)."""
-    schedule.constrained = flag

@@ -9,6 +9,7 @@ never prunable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,18 +99,21 @@ class ParamTree:
             t.grad = None
 
 
-def named_prunable(tree: ParamTree) -> list[tuple[str, Tensor]]:
-    """Prunable entries of the tree in stable (insertion) order."""
-    return tree.named_prunable()
-
-
-def _linear(x: Tensor, w: Tensor, b: Tensor, adapter=None) -> Tensor:
-    y = ad.add(ad.matmul(x, ad.transpose(w, (1, 0))), b)
+def _linear(x: Tensor, w: Tensor, b: Tensor | None, adapter=None) -> Tensor:
+    """``x @ w.T + b``, plus the adapter's ``(x @ A.T) @ B.T * scale`` when given."""
+    y = ad.linear(x, w, b)
     if adapter is not None:
-        down = ad.matmul(x, ad.transpose(adapter.a, (1, 0)))
-        up = ad.matmul(down, ad.transpose(adapter.b, (1, 0)))
+        up = ad.linear(ad.linear(x, adapter.a), adapter.b)
         y = ad.add(y, ad.scale(up, adapter.scale))
     return y
+
+
+@functools.lru_cache(maxsize=32)
+def _causal_mask(t: int, dtype) -> np.ndarray:
+    """Read-only ``(t, t)`` additive mask: 0 on and below the diagonal, NEG_INF above."""
+    mask = np.triu(np.full((t, t), NEG_INF, dtype=dtype), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _tap(taps, name: str, x: Tensor) -> None:
@@ -171,8 +175,7 @@ def build_transformer(cfg: ModelConfig, dtype=np.float32):
         pos = np.broadcast_to(np.arange(t), (bsz, t))
         x = ad.add(ad.embedding(tree["tok_emb"], ids), ad.embedding(tree["pos_emb"], pos))
 
-        causal = np.triu(np.full((t, t), NEG_INF, dtype=dtype), k=1)
-        mask = Tensor(np.broadcast_to(causal, (bsz, cfg.heads, t, t)).copy())
+        mask = _causal_mask(t, dtype)
 
         def lin(x, name):
             _tap(taps, name, x)
@@ -190,7 +193,7 @@ def build_transformer(cfg: ModelConfig, dtype=np.float32):
             k = heads_view(lin(h, f"{p}.attn.wk"))
             v = heads_view(lin(h, f"{p}.attn.wv"))
             att = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), att_scale)
-            att = ad.softmax(ad.add(att, mask))
+            att = ad.softmax(att, mask)
             o = ad.matmul(att, v)
             o = ad.reshape(ad.transpose(o, (0, 2, 1, 3)), (bsz, t, cfg.dim))
             x = ad.add(x, lin(o, f"{p}.attn.wo"))

@@ -10,8 +10,10 @@ go to a separate timings file so they cannot perturb that guarantee.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import blas_threads
 from . import checkpoint as ckpt
 from .adaptation import (
     CRITERION_SENSITIVITY,
@@ -104,6 +107,10 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.pattern == "nm" and (self.nm_n < 1 or self.nm_m < 1):
             raise ValueError("N:M pattern requires nm_n and nm_m")
+        if self.pattern == "nm" and not math.isclose(self.sparsity, 1.0 - self.nm_n / self.nm_m):
+            raise ValueError(
+                f"sparsity {self.sparsity} disagrees with {self.nm_n}:{self.nm_m}, which keeps exactly 1 - N/M = {1.0 - self.nm_n / self.nm_m}"
+            )
         if self.pattern not in ("unstructured", "nm"):
             raise ValueError(f"unknown pattern {self.pattern!r}")
         if self.task == "char-lm" and self.corpus is None:
@@ -239,7 +246,8 @@ class DenseAdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = (p.data.astype(np.float64) - self.lr * (update + self.wd * p.data.astype(np.float64))).astype(p.data.dtype)
+            w = p.data.astype(np.float64)
+            p.data = (w - self.lr * (update + self.wd * w)).astype(p.data.dtype)
 
 
 def evaluate_ppl(forward, tree: ParamTree, val_batches, vocab: int, adapters=None) -> float:
@@ -376,16 +384,48 @@ def _make_task_for(cfg: TrainConfig) -> Task:
     return make_task(cfg.task, cfg.context, cfg.batch_size, cfg.seed, corpus=cfg.corpus, copy_vocab=cfg.copy_vocab)
 
 
+def micro_batch_workers(grad_accum: int) -> int:
+    """Threads that run a step's micro-batches: one per usable CPU, at most one per micro-batch."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(grad_accum, cpus)
+
+
+@functools.cache
+def _pool(workers: int):
+    from concurrent.futures import ThreadPoolExecutor  # imported only by runs that use threads
+
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="micro-batch")
+
+
+def _micro_batch(forward, tree, adapters, vocab: int, batch) -> tuple[float, dict]:
+    """Forward and backward of one micro-batch; returns its loss and its own leaf-gradient store."""
+    x, y = batch
+    leaf_grads: dict = {}
+    with ad.Tape():
+        logits = forward(tree, x, adapters=adapters)
+        loss = ad.cross_entropy(ad.reshape(logits, (-1, vocab)), y.reshape(-1), ignore_index=IGNORE)
+        del logits  # backward frees each activation after its VJP, unless something else holds it
+        ad.backward(loss, leaf_grads)
+    return loss.item(), leaf_grads
+
+
 def _backward_pass(cfg: TrainConfig, tree, forward, task, rng, vocab: int, adapters=None) -> float:
-    """Accumulate gradients over the micro-batches; returns the mean loss."""
+    """Accumulate gradients over the micro-batches; returns the mean loss.
+
+    The batches are drawn first, in order; the micro-batches then run on
+    ``micro_batch_workers`` threads (inline when that is one). Their losses
+    and gradient contributions are folded in micro-batch order, so the sums
+    are bitwise those of running them one after another.
+    """
+    batches = [task.train_batch(rng) for _ in range(cfg.grad_accum)]
+    run = functools.partial(_micro_batch, forward, tree, adapters, vocab)
+    workers = micro_batch_workers(cfg.grad_accum)
+    results = map(run, batches) if workers == 1 else _pool(workers).map(run, batches)
     loss_sum = 0.0
-    for _ in range(cfg.grad_accum):
-        x, y = task.train_batch(rng)
-        with ad.Tape():
-            logits = forward(tree, x, adapters=adapters)
-            loss = ad.cross_entropy(ad.reshape(logits, (-1, vocab)), y.reshape(-1), ignore_index=IGNORE)
-            ad.backward(loss)
-        loss_sum += loss.item()
+    for loss, leaf_grads in results:
+        loss_sum += loss
+        ad.accumulate(leaf_grads)
+        del leaf_grads  # not kept alive while waiting for the next micro-batch
     mean = loss_sum / cfg.grad_accum
     if not np.isfinite(mean):
         raise NumericFailure(f"non-finite training loss {mean} (method={cfg.method}, seed={cfg.seed})")
@@ -513,5 +553,7 @@ def _save_state(cfg, tree, theta, masks, delta, path, result, extra_dense=None):
         "final_ppl": result.final_ppl,
         "final_sparsity": result.final_sparsity,
         "trainable_params": result.trainable_params,
+        "blas_threads": blas_threads(),
+        "micro_batch_workers": micro_batch_workers(cfg.grad_accum),
     }
     ckpt.save_meta(path, meta)

@@ -22,8 +22,8 @@ from sparsevolve.delta import (
     init_support,
 )
 from sparsevolve.evolution import EvolutionSchedule, GradAccumulator, evolve, select_drop, select_grow
-from sparsevolve.lora import build_adapters, lora_forward, merge_and_reprune, trainable_count
-from sparsevolve.models import ModelConfig, build_transformer
+from sparsevolve.lora import LoraAdapter, build_adapters, merge_and_reprune, trainable_count
+from sparsevolve.models import ModelConfig, _linear, build_transformer
 from sparsevolve.pruning import Mask, build_mask, prune_model, score_wanda
 from sparsevolve.train import TrainConfig, train
 
@@ -490,7 +490,7 @@ def test_criterion_10_lora_star_pipeline():
         b = Tensor(rng.normal(0, 0.02, size=(out_d, r)).astype(np.float32))
         x = Tensor(rng.normal(size=(n, in_d)).astype(np.float32))
         scale = float(rng.uniform(0.1, 2.0))
-        got = lora_forward(w, a, b, x, scale=scale).data
+        got = _linear(x, w, None, LoraAdapter("t", a, b, rank=int(r), scale=scale)).data
         want = x.data @ (w.data + (b.data @ a.data) * scale).T
         worst = max(worst, float(np.abs(got - want).max()))
     assert worst <= 1e-6

@@ -242,3 +242,92 @@ def test_tape_freed_by_reference_count(tiny_model):
         assert gc.collect() == 0  # nothing was left for the cyclic collector
     finally:
         gc.enable()
+
+
+def _linear_reference(x, w, b):
+    """The three-node graph ``linear`` replaces."""
+    return ad.add(ad.matmul(x, ad.transpose(w, (1, 0))), b)
+
+
+@pytest.mark.parametrize("x_shape,out_dim", [((2, 12, 64), 64), ((8, 64, 128), 512)])
+def test_linear_bitwise_equals_three_node_graph(x_shape, out_dim):
+    rng = np.random.default_rng(31)
+    in_dim = x_shape[-1]
+    xd = rng.normal(size=x_shape).astype(np.float32)
+    wd = rng.normal(0, 0.05, size=(out_dim, in_dim)).astype(np.float32)
+    bd = rng.normal(size=out_dim).astype(np.float32)
+    r = rng.normal(size=x_shape[:-1] + (out_dim,)).astype(np.float32)
+    results = []
+    for op in (ad.linear, _linear_reference):
+        x, w, b = (Tensor(d.copy(), requires_grad=True) for d in (xd, wd, bd))
+        with Tape():
+            y = op(x, w, b)
+            backward(ad.sum_all(ad.mul(y, Tensor(r))))
+        results.append((y.data, x.grad, w.grad, b.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_linear_fd_oracle():
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    r = Tensor(rng.normal(size=(2, 3, 4)))
+
+    def loss_fn():
+        return ad.sum_all(ad.mul(ad.linear(x, w, b), r))
+
+    report = grad_check(loss_fn, {"x": x, "w": w, "b": b}, eps=1e-6, tol=1e-6, samples=10, rng=rng)
+    assert report.passed, f"max rel err {report.max_rel_err} at {report.worst}"
+
+
+def test_linear_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError, match="linear"):
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+    with pytest.raises(ShapeError, match="linear"):
+        ad.linear(Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+
+
+def test_mid_graph_activation_freed_before_backward_returns():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    alive_at_probe = []
+
+    def probe(t):  # an identity op whose VJP runs after every op recorded after it
+        def vjp(g):
+            alive_at_probe.append(mid() is not None)
+            return (g,)
+
+        return ad._record(Tensor(t.data.copy()), (t,), vjp)
+
+    with Tape():
+        h = ad.gelu(ad.scale(probe(x), 2.0))
+        mid = weakref.ref(h)
+        loss = ad.sum_all(h)
+        del h
+        backward(loss)
+    assert alive_at_probe == [False]
+    assert x.grad is not None
+
+
+def test_loss_backpropagates_once():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape():
+        loss = ad.sum_all(ad.mul(x, x))
+        backward(loss)
+        with pytest.raises(ValueError, match="not recorded"):
+            backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_leaf_grads_store_keeps_contributions_in_order():
+    x = Tensor(np.array([0.1, 0.2], dtype=np.float32), requires_grad=True)
+    store = {}
+    with Tape():
+        backward(ad.sum_all(ad.add(ad.scale(x, 3.0), ad.mul(x, x))), store)
+    assert x.grad is None  # a store leaves .grad alone
+    # one contribution per use of x, in VJP order: mul (recorded last) first, then scale
+    assert [g.tolist() for g in store[x]] == [x.data.tolist(), x.data.tolist(), [3.0, 3.0]]
+    ad.accumulate(store)
+    assert x.grad.tobytes() == ((x.data + x.data) + np.float32(3.0)).tobytes()

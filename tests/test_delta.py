@@ -18,7 +18,6 @@ from sparsevolve.delta import (
     materialize,
     merged_support,
     remove_entries,
-    sgd_step,
     top_k,
 )
 from sparsevolve.models import ModelConfig, build_mlp, build_transformer
@@ -122,9 +121,10 @@ def test_zero_gradient_leaves_values():
     np.testing.assert_array_equal(d.slices["t"].values, [0.5, -0.5])
 
 
-def test_plain_sgd_step():
+def test_first_adamw_step_moves_by_lr():
+    # bias-corrected moments make the first update g / (|g| + eps): a plain step of lr
     d = make_delta([3], [0.0])
-    sgd_step(d, {"t": np.array([1.0])}, lr=0.1)
+    adamw_step(d, DeltaOptimState(d), {"t": np.array([1.0])}, lr=0.1)
     assert d.slices["t"].values[0] == pytest.approx(-0.1)
 
 
@@ -165,7 +165,7 @@ def test_misaligned_grads_error():
     with pytest.raises(ValueError, match="misaligned"):
         adamw_step(d, opt, {"t": np.zeros(3)}, lr=0.1)
     with pytest.raises(ValueError, match="misaligned"):
-        sgd_step(d, {}, lr=0.1)
+        adamw_step(d, opt, {}, lr=0.1)
 
 
 def test_step_changes_only_values():

@@ -5,15 +5,8 @@ from sparsevolve import autodiff as ad
 from sparsevolve.autodiff import Tensor
 from sparsevolve.delta import allocate_budget
 from sparsevolve.evolution import EvolutionSchedule
-from sparsevolve.lora import (
-    LoraAdapter,
-    build_adapters,
-    constrained_seft_mode,
-    lora_forward,
-    merge_and_reprune,
-    trainable_count,
-)
-from sparsevolve.models import ModelConfig, build_transformer
+from sparsevolve.lora import LoraAdapter, build_adapters, merge_and_reprune, trainable_count
+from sparsevolve.models import ModelConfig, _linear, build_transformer
 from sparsevolve.pruning import global_sparsity, prune_model
 
 
@@ -23,7 +16,7 @@ def test_zero_b_gives_base_output():
     a = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
     b = Tensor(np.zeros((5, 2), dtype=np.float32))
     x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
-    out = lora_forward(w, a, b, x)
+    out = _linear(x, w, None, LoraAdapter("t", a, b, rank=2))
     np.testing.assert_array_equal(out.data, ad.matmul(x, ad.transpose(w, (1, 0))).data)
 
 
@@ -35,7 +28,7 @@ def test_full_rank_identity_recovers_dense_update():
     a = Tensor(np.eye(d))  # [r=d, in]
     b = Tensor(dw)  # [out, r]
     x = Tensor(rng.normal(size=(6, d)))
-    out = lora_forward(w, a, b, x)
+    out = _linear(x, w, None, LoraAdapter("t", a, b, rank=d))
     np.testing.assert_allclose(out.data, x.data @ (w.data + dw).T, rtol=1e-12)
 
 
@@ -46,7 +39,7 @@ def test_random_adapter_matches_dense_merge_oracle_f32():
     b = Tensor(rng.normal(size=(8, 3)).astype(np.float32))
     x = Tensor(rng.normal(size=(10, 6)).astype(np.float32))
     scale = 0.5
-    out = lora_forward(w, a, b, x, scale=scale)
+    out = _linear(x, w, None, LoraAdapter("t", a, b, rank=3, scale=scale))
     merged = w.data + (b.data @ a.data) * scale
     np.testing.assert_allclose(out.data, x.data @ merged.T, atol=1e-6)
 
@@ -106,7 +99,7 @@ def test_merge_and_reprune_restores_sparsity_popcount():
 def test_constrained_mode_toggle():
     sched = EvolutionSchedule()
     assert not sched.restrict_growth
-    constrained_seft_mode(sched, True)
-    assert sched.constrained and sched.restrict_growth
-    constrained_seft_mode(sched, False)
+    sched.constrained = True
+    assert sched.restrict_growth
+    sched.constrained = False
     assert not sched.restrict_growth

@@ -5,7 +5,6 @@ from sparsevolve.models import (
     ModelConfig,
     build_mlp,
     build_transformer,
-    named_prunable,
     transformer_param_count,
 )
 
@@ -47,7 +46,7 @@ def test_invalid_config_rejected():
 def test_named_prunable_count_by_walk():
     cfg = ModelConfig(vocab=256, dim=64, heads=4, blocks=2, context=16)
     tree, _ = build_transformer(cfg)
-    prunable = named_prunable(tree)
+    prunable = tree.named_prunable()
     # per block: 4 attention + 2 feed-forward, plus the LM head
     assert len(prunable) == 2 * (4 + 2) + 1
     for name, t in prunable:

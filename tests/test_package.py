@@ -32,3 +32,21 @@ def test_blas_pinned_when_numpy_is_imported_first():
     if threads == "none":
         pytest.skip("numpy has no bundled OpenBLAS with thread entry points")
     assert threads == "1"
+
+
+def test_blas_still_pinned_after_threaded_step(monkeypatch):
+    import numpy as np
+
+    from sparsevolve import train as train_mod
+    from sparsevolve.data import make_task
+    from sparsevolve.models import build_transformer
+
+    if sparsevolve.blas_threads() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with thread entry points")
+    cfg = train_mod.TrainConfig(task="copy", vocab=32, dim=64, context=12, ff_mult=2, batch_size=2, grad_accum=2)
+    tree, forward = build_transformer(cfg.model_config())
+    tree.set_requires_grad(True, names=tree.prunable_names())
+    task = make_task("copy", cfg.context, cfg.batch_size, seed=0)
+    monkeypatch.setattr(train_mod, "micro_batch_workers", lambda grad_accum: 2)
+    train_mod._backward_pass(cfg, tree, forward, task, np.random.default_rng(0), cfg.vocab)
+    assert sparsevolve.blas_threads() == 1

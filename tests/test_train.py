@@ -1,9 +1,16 @@
 import json
 import os
+import sys
 
+import numpy as np
 import pytest
 
+from sparsevolve import autodiff as ad
 from sparsevolve import checkpoint as ck
+from sparsevolve import train as train_mod
+from sparsevolve.data import IGNORE, make_task
+from sparsevolve.lora import build_adapters
+from sparsevolve.models import ModelConfig, build_transformer
 from sparsevolve.train import MetricsWriter, NumericFailure, TrainConfig, train
 
 
@@ -116,6 +123,27 @@ def test_checkpoint_meta_written(tmp_path):
     meta = json.load(open(res.checkpoint + ".json"))
     assert meta["config"]["method"] == "seft"
     assert meta["trainable_params"] == res.trainable_params
+
+
+def test_checkpoint_meta_records_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr(train_mod, "micro_batch_workers", lambda grad_accum: 3)
+    res = train(cfg_for(tmp_path, run_name="threads", steps=2, grad_accum=2, eval_every=0))
+    meta = json.load(open(res.checkpoint + ".json"))
+    assert meta["micro_batch_workers"] == 3
+    assert meta["blas_threads"] in (1, None)  # None: no bundled OpenBLAS to ask
+
+
+def test_micro_batch_workers_rule():
+    cpus = len(os.sched_getaffinity(0))
+    assert train_mod.micro_batch_workers(1) == 1
+    assert train_mod.micro_batch_workers(10**6) == cpus
+
+
+def test_nm_pattern_rejects_mismatched_sparsity():
+    with pytest.raises(ValueError, match="1 - N/M"):
+        TrainConfig(task="copy", pattern="nm", nm_n=2, nm_m=4, sparsity=0.6)
+    TrainConfig(task="copy", pattern="nm", nm_n=2, nm_m=4, sparsity=0.5)
+    TrainConfig(task="copy", pattern="nm", nm_n=1, nm_m=3, sparsity=1 - 1 / 3)
 
 
 def test_timings_separate_from_metrics(tmp_path):
@@ -256,3 +284,73 @@ def test_metrics_writer_float_format(tmp_path):
     w.close()
     lines = open(tmp_path / "m.csv").read().strip().split("\n")
     assert lines[1].split(",")[3] == "1.5"
+
+
+# --- parallel micro-batches ---
+
+
+def _twice(forward):
+    """Every parameter used twice in one forward: the model on the ids and on them reversed."""
+
+    def fwd(tree, ids, adapters=None):
+        return ad.add(forward(tree, ids, adapters=adapters), forward(tree, ids[:, ::-1], adapters=adapters))
+
+    return fwd
+
+
+def _sequential_reference(cfg, tree, forward, task, rng, adapters):
+    """Micro-batches one after another, each gradient contribution added into .grad as it comes."""
+    loss_sum = 0.0
+    for _ in range(cfg.grad_accum):
+        x, y = task.train_batch(rng)
+        store = {}
+        with ad.Tape():
+            logits = forward(tree, x, adapters=adapters)
+            loss = ad.cross_entropy(ad.reshape(logits, (-1, cfg.vocab)), y.reshape(-1), ignore_index=IGNORE)
+            ad.backward(loss, store)
+        for leaf, grads in store.items():
+            for g in grads:
+                leaf.grad = g if leaf.grad is None else leaf.grad + g
+        loss_sum += loss.item()
+    return loss_sum / cfg.grad_accum
+
+
+@pytest.mark.parametrize("method", ["seft", "lora"])
+@pytest.mark.parametrize("twice", [False, True])
+def test_threaded_backward_pass_bitwise_equals_single_worker(monkeypatch, method, twice):
+    cfg = TrainConfig(task="copy", vocab=32, dim=64, heads=4, blocks=2, ff_mult=2, context=12, batch_size=3, grad_accum=4, method=method)
+    tree, forward = build_transformer(cfg.model_config())
+    if twice:
+        forward = _twice(forward)
+    task = make_task("copy", cfg.context, cfg.batch_size, seed=0)
+    adapters = None
+    if method == "lora":
+        tree.set_requires_grad(False)
+        adapters = build_adapters(tree, 2, seed=1)
+        for a in adapters.values():  # a live B so the adapter path carries gradient to A
+            a.b.data = np.random.default_rng(2).normal(0, 0.05, size=a.b.data.shape).astype(np.float32)
+        leaves = [t for a in adapters.values() for t in (a.a, a.b)]
+    else:
+        tree.set_requires_grad(True, names=tree.prunable_names())
+        leaves = [t for _, t in tree.named_prunable()]
+
+    def run(workers):
+        for t in leaves:
+            t.zero_grad()
+        if workers is None:
+            loss = _sequential_reference(cfg, tree, forward, task, np.random.default_rng(5), adapters)
+        else:
+            monkeypatch.setattr(train_mod, "micro_batch_workers", lambda grad_accum: workers)
+            loss = train_mod._backward_pass(cfg, tree, forward, task, np.random.default_rng(5), cfg.vocab, adapters)
+        return loss, [t.grad for t in leaves]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the worker threads as finely as the interpreter allows
+    try:
+        threaded = run(cfg.grad_accum)  # more workers than cores
+    finally:
+        sys.setswitchinterval(switch)
+    for other in (run(1), run(None)):
+        assert threaded[0] == other[0]
+        for got, want in zip(threaded[1], other[1]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
