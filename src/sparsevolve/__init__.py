@@ -14,6 +14,35 @@ import os as _os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
+# glibc malloc: one arena, blocks below 32 MiB from the heap, no trimming
+# below 64 MiB. A step allocates and frees tens of MB of activations; with the
+# defaults glibc hands them back to the kernel (munmap, heap trim), in one
+# arena per micro-batch thread, and the next micro-batch faults them in again
+# as zeroed pages. This stops that page churn; it changes no number a run
+# computes. The three settings only help together: a fixed threshold turns off
+# glibc's adaptive mmap threshold, and without the arena cap each thread's
+# arena keeps its own freed memory. Not glibc (no mallopt): nothing is set.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_MALLOPTS = ((_M_ARENA_MAX, 1), (_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
+
+def _tune_malloc() -> bool:
+    try:
+        mallopt = _ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = [_ctypes.c_int, _ctypes.c_int]
+    mallopt.restype = _ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in _MALLOPTS])
+
+
+_malloc_tuned = _tune_malloc()
+
+
+def malloc_tuned() -> bool:
+    """True when all three glibc malloc settings above took effect at import."""
+    return _malloc_tuned
+
 
 def _openblas_fn(name: str, argtypes: list, restype):
     """``scipy_openblas_<name>`` of numpy's bundled OpenBLAS, typed; None when there is none.

@@ -79,9 +79,8 @@ def _encode_record(rec: Record) -> bytes:
 
 def write_checkpoint(path: str, records: list[Record]) -> None:
     """Serialize records; the write is atomic (temp file then rename)."""
-    blob = MAGIC + struct.pack("<H", VERSION)
-    for rec in records:
-        blob += _encode_record(rec)
+    # one join: regrowing a blob per record leaves each old copy in the malloc heap
+    blob = b"".join([MAGIC, struct.pack("<H", VERSION), *map(_encode_record, records)])
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
@@ -207,6 +206,22 @@ def load_state(path: str) -> LoadedState:
     return state
 
 
+def load_into(tree: ParamTree, path: str) -> LoadedState:
+    """Copy the checkpoint's dense record of every tree tensor into the tree; returns the whole state.
+
+    Raises ValueError when a tree tensor has no dense record or its shape differs.
+    """
+    state = load_state(path)
+    for name, tensor in tree.items():
+        arr = state.dense.get(name)
+        if arr is None:
+            raise ValueError(f"checkpoint {path} missing tensor {name}")
+        if arr.shape != tensor.data.shape:
+            raise ValueError(f"checkpoint {path} shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}")
+        tensor.data = arr.astype(tensor.data.dtype)
+    return state
+
+
 def save_meta(path: str, meta: dict) -> None:
     with open(path + ".json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
@@ -222,16 +237,10 @@ def merge_checkpoint(in_path: str, out_path: str) -> None:
     """Materialize masked-base-plus-delta into explicit dense records."""
     state = load_state(in_path)
     records: list[Record] = []
-    for rec in read_checkpoint(in_path):
-        if rec.kind != KIND_DENSE:
-            continue
-        name = rec.name
+    for name, dense in state.dense.items():
         if name in state.masks:
-            td = state.deltas.get(name)
-            merged = effective_weights(state.dense[name], state.masks[name], td)
-            records.append(Record(name, KIND_DENSE, rec.shape, dense=merged))
-        else:
-            records.append(Record(name, KIND_DENSE, rec.shape, dense=rec.dense))
+            dense = effective_weights(dense, state.masks[name], state.deltas.get(name))
+        records.append(Record(name, KIND_DENSE, dense.shape, dense=dense))
     write_checkpoint(out_path, records)
     if os.path.exists(in_path + ".json"):
         meta = load_meta(in_path)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import make_task
-from .delta import SparseDelta, TensorDelta, materialize
+from .delta import SparseDelta, materialize
 from .models import ModelConfig, build_transformer
 from .pruning import Mask
 from .train import NumericFailure, TrainConfig, evaluate_ppl, train
@@ -106,18 +106,14 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     mc, cfg = _model_from_meta(args.checkpoint)
     tree, forward = build_transformer(mc, dtype=np.float32)
-    state = ckpt.load_state(args.checkpoint)
-    for name, tensor in tree.items():
-        if name not in state.dense:
-            raise ValueError(f"checkpoint missing tensor {name}")
-        tensor.data = state.dense[name].astype(tensor.data.dtype)
+    state = ckpt.load_into(tree, args.checkpoint)
     if state.masks:
         masks = {n: Mask(n, b.astype(bool)) for n, b in state.masks.items()}
         theta = {n: tree[n].data.copy() for n in masks}
         delta = None
         if state.deltas:
             delta = SparseDelta({n: len(td) for n, td in state.deltas.items()})
-            delta.slices = {n: TensorDelta(td.indices, td.values) for n, td in state.deltas.items()}
+            delta.slices = dict(state.deltas)
         materialize(tree, theta, masks, delta)
     adapters = _adapters_from_records(state.dense, cfg.rank)
     corpus = args.corpus or cfg.corpus
@@ -174,36 +170,27 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+# grid name -> (variant label, TrainConfig fields the variant overrides)
+ABLATION_GRIDS: dict[str, list[tuple[str, dict]]] = {
+    "droprate": [(f"alpha={a}", {"drop_rate": a}) for a in (0.05, 0.1, 0.2, 0.3)],
+    "frequency": [(f"every={k}", {"every": k}) for k in (5, 10, 20, 40)],
+    "constraint": [("unconstrained", {"method": "seft"}), ("constrained", {"method": "seft-constrained"})],
+    "adaptation": [("with-adapt", {"adapt": True}), ("without-adapt", {"adapt": False})],
+    "criterion": [("sensitivity", {"adapt_criterion": "sensitivity"}), ("magnitude", {"adapt_criterion": "magnitude"})],
+    "lr": [(f"lr={lr}", {"lr": lr}) for lr in (1e-3, 3e-4, 1e-4)],
+}
+
+
 def cmd_ablate(args) -> int:
     base = _build_config(args)
     seeds = [int(s) for s in args.seeds.split(",")]
     grid = args.grid
-    variants: list[tuple[str, dict]] = []
-    if grid == "droprate":
-        variants = [(f"alpha={a}", {"drop_rate": a}) for a in (0.05, 0.1, 0.2, 0.3)]
-    elif grid == "frequency":
-        variants = [(f"every={k}", {"every": k}) for k in (5, 10, 20, 40)]
-    elif grid == "constraint":
-        variants = [("unconstrained", {"method": "seft"}), ("constrained", {"method": "seft-constrained"})]
-    elif grid == "adaptation":
-        variants = [("with-adapt", {"adapt": True}), ("without-adapt", {"adapt": False})]
-    elif grid == "criterion":
-        variants = [
-            ("sensitivity", {"adapt_criterion": "sensitivity"}),
-            ("magnitude", {"adapt_criterion": "magnitude"}),
-        ]
-    elif grid == "lr":
-        variants = [(f"lr={lr}", {"lr": lr}) for lr in (1e-3, 3e-4, 1e-4)]
-    else:
-        print(f"error: unknown grid {grid!r}", file=sys.stderr)
-        return EXIT_USAGE
-
     out_dir = base.resolve_out_dir()
     os.makedirs(out_dir, exist_ok=True)
     summary = os.path.join(out_dir, f"ablate-{grid}.csv")
     with open(summary, "w", encoding="utf-8") as f:
         f.write("variant,seed,final_ppl,final_sparsity,reactivation_fraction\n")
-        for label, patch in variants:
+        for label, patch in ABLATION_GRIDS[grid]:
             for seed in seeds:
                 d = base.to_dict()
                 d.update(patch)
@@ -245,7 +232,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_inspect)
 
     p = sub.add_parser("ablate", help="run a small ablation grid")
-    p.add_argument("--grid", required=True, choices=["droprate", "frequency", "constraint", "adaptation", "criterion", "lr"])
+    p.add_argument("--grid", required=True, choices=list(ABLATION_GRIDS))
     p.add_argument("--seeds", default="0")
     _add_config_flags(p)
     p.set_defaults(fn=cmd_ablate)

@@ -181,20 +181,35 @@ def adamw_step(
     """One AdamW step over the delta values; indices never change here."""
     _check_aligned(delta, grads)
     optim.step += 1
-    t = optim.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
     for name, td in delta.slices.items():
-        g = grads[name].astype(np.float64)
-        m = optim.m[name]
-        v = optim.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        phi = td.values.astype(np.float64)
-        td.values = (phi - lr * (update + weight_decay * phi)).astype(td.values.dtype)
+        td.values = adamw_update(td.values, grads[name], optim.m[name], optim.v[name], optim.step, lr, beta1, beta2, eps, weight_decay)
+
+
+def adamw_update(
+    w: np.ndarray,
+    g: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    step: int,
+    lr: float,
+    beta1: float,
+    beta2: float,
+    eps: float,
+    weight_decay: float,
+) -> np.ndarray:
+    """AdamW for one array: updates the float64 moments ``m``/``v`` in place, returns the new ``w`` in its dtype.
+
+    The math runs in float64 with bias correction for 1-based ``step`` and
+    decoupled weight decay; the sparse delta and the dense adapters share it.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    update = (m / (1.0 - beta1**step)) / (np.sqrt(v / (1.0 - beta2**step)) + eps)
+    w64 = w.astype(np.float64)
+    return (w64 - lr * (update + weight_decay * w64)).astype(w.dtype)
 
 
 def insert_entries(delta: SparseDelta, name: str, new_indices: np.ndarray, optim: DeltaOptimState | None = None) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import blas_threads
+from . import blas_threads, malloc_tuned
 from . import checkpoint as ckpt
 from .adaptation import (
     CRITERION_SENSITIVITY,
@@ -36,6 +36,7 @@ from .delta import (
     DeltaOptimState,
     SparseDelta,
     adamw_step,
+    adamw_update,
     allocate_budget,
     gather_grads,
     init_support,
@@ -235,19 +236,11 @@ class DenseAdamW:
 
     def step(self, grad_scale: float = 1.0) -> None:
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad.astype(np.float64) * grad_scale
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            w = p.data.astype(np.float64)
-            p.data = (w - self.lr * (update + self.wd * w)).astype(p.data.dtype)
+            p.data = adamw_update(p.data, g, m, v, self.step_count, self.lr, self.beta1, self.beta2, self.eps, self.wd)
 
 
 def evaluate_ppl(forward, tree: ParamTree, val_batches, vocab: int, adapters=None) -> float:
@@ -266,23 +259,10 @@ def evaluate_ppl(forward, tree: ParamTree, val_batches, vocab: int, adapters=Non
     return float(np.exp(total / count))
 
 
-def _load_base(tree: ParamTree, path: str) -> dict[str, np.ndarray] | None:
-    """Copy a base checkpoint into the tree; returns its masks when present."""
-    state = ckpt.load_state(path)
-    for name, tensor in tree.items():
-        if name not in state.dense:
-            raise ValueError(f"base checkpoint missing tensor {name}")
-        arr = state.dense[name]
-        if arr.shape != tensor.data.shape:
-            raise ValueError(f"base checkpoint shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}")
-        tensor.data = arr.astype(tensor.data.dtype)
-    return state.masks or None
-
-
 def _prune(cfg: TrainConfig, tree: ParamTree, forward, task: Task) -> tuple[dict[str, Mask], dict[str, np.ndarray]]:
     base_masks = None
     if cfg.base_checkpoint:
-        base_masks = _load_base(tree, cfg.base_checkpoint)
+        base_masks = ckpt.load_into(tree, cfg.base_checkpoint).masks
     if base_masks:
         masks = {
             name: Mask(name, bits.astype(bool), pattern=cfg.pattern, n=cfg.nm_n, m=cfg.nm_m)
@@ -555,5 +535,6 @@ def _save_state(cfg, tree, theta, masks, delta, path, result, extra_dense=None):
         "trainable_params": result.trainable_params,
         "blas_threads": blas_threads(),
         "micro_batch_workers": micro_batch_workers(cfg.grad_accum),
+        "malloc_tuned": malloc_tuned(),
     }
     ckpt.save_meta(path, meta)

@@ -56,6 +56,31 @@ def test_loaded_state_matches_source(tmp_path):
         np.testing.assert_array_equal(state.deltas[name].values, delta.slices[name].values)
 
 
+def test_load_into_copies_dense_records_and_returns_the_state(tmp_path):
+    cfg, tree, _, masks, theta, delta, _ = make_state()
+    p = str(tmp_path / "into.ckpt")
+    ck.write_checkpoint(p, ck.state_records(tree, theta, masks, delta))
+    tree2, _ = build_transformer(cfg, dtype=np.float64)
+    state = ck.load_into(tree2, p)
+    for name, t in tree2.items():
+        assert t.data.dtype == np.float64
+        np.testing.assert_array_equal(t.data, state.dense[name])
+    assert set(state.masks) == set(masks) and set(state.deltas) == set(delta.slices)
+
+
+def test_load_into_rejects_missing_and_misshapen_tensors(tmp_path):
+    cfg, tree, *_ = make_state()
+    p = str(tmp_path / "bad.ckpt")
+    records = ck.state_records(tree)
+    ck.write_checkpoint(p, records[1:])
+    with pytest.raises(ValueError, match=f"missing tensor {records[0].name}"):
+        ck.load_into(build_transformer(cfg)[0], p)
+    wide = build_transformer(ModelConfig(vocab=16, dim=128, heads=4, blocks=1, context=4))[0]
+    ck.write_checkpoint(p, records)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ck.load_into(wide, p)
+
+
 def test_delta_payload_layout(tmp_path):
     # one tensor, known entries: verify the exact byte layout of the delta record
     rec = ck.Record("w", ck.KIND_DELTA, (2, 2), indices=np.array([1, 3]), values=np.array([0.5, -1.5], np.float32))
@@ -118,6 +143,18 @@ def test_merge_of_pruned_model_is_masked_base(tmp_path):
     for name, m in masks.items():
         np.testing.assert_array_equal(merged.dense[name], (theta[name] * m.bits).astype(np.float32))
         assert name not in merged.masks
+
+
+def test_merge_reads_its_input_once(tmp_path, monkeypatch):
+    _, tree, _, masks, theta, delta, _ = make_state()
+    p, pm = str(tmp_path / "once.ckpt"), str(tmp_path / "once-merged.ckpt")
+    ck.write_checkpoint(p, ck.state_records(tree, theta, masks, delta))
+    reads = []
+    read = ck.read_checkpoint
+    monkeypatch.setattr(ck, "read_checkpoint", lambda path: reads.append(path) or read(path))
+    ck.merge_checkpoint(p, pm)
+    assert reads == [p]
+    assert [r.name for r in read(pm)] == [r.name for r in read(p) if r.kind == ck.KIND_DENSE]
 
 
 def test_merge_is_idempotent_through_resplit(tmp_path):

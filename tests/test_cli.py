@@ -4,7 +4,8 @@ import os
 import pytest
 
 from sparsevolve import checkpoint as ck
-from sparsevolve.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
+from sparsevolve.cli import ABLATION_GRIDS, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
+from sparsevolve.train import TrainConfig
 
 
 def run(argv):
@@ -133,3 +134,23 @@ def test_ablate_constraint_grid(tmp_path):
     summary = open(tmp_path / "ablate-constraint.csv").read().strip().split("\n")
     assert summary[0].startswith("variant,seed")
     assert len(summary) == 3
+
+
+def test_eval_rejects_a_checkpoint_whose_shapes_disagree_with_its_meta(tmp_path, capsys):
+    assert run(["prune", *BASE, "--out-dir", str(tmp_path), "--run-name", "shp"]) == EXIT_OK
+    meta_path = tmp_path / "shp.ckpt.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["ff_mult"] = 2  # same tensor names, narrower MLP
+    meta_path.write_text(json.dumps(meta))
+    assert run(["eval", str(tmp_path / "shp.ckpt")]) == EXIT_USAGE
+    assert "shape mismatch" in capsys.readouterr().err
+
+
+def test_ablation_grids_are_the_parser_choices_and_valid_configs(capsys):
+    base = {"task": "copy"}
+    for variants in ABLATION_GRIDS.values():
+        assert len({label for label, _ in variants}) == len(variants) > 1
+        for _, patch in variants:
+            TrainConfig.from_dict({**base, **patch})
+    assert run(["ablate", "--grid", "nonsense"]) == EXIT_USAGE
+    assert "droprate" in capsys.readouterr().err

@@ -159,6 +159,32 @@ def test_adamw_weight_decay_matches_reference():
     assert d.slices["t"].values[0] == pytest.approx(expect, abs=1e-12)
 
 
+def test_sparse_and_dense_adamw_agree_bitwise_with_the_vectorized_reference():
+    from sparsevolve.train import DenseAdamW
+
+    rng = np.random.default_rng(0)
+    w0 = rng.normal(size=6).astype(np.float32)
+    d = make_delta(np.arange(6), w0, dtype=np.float32)
+    opt = DeltaOptimState(d)
+    p = Tensor(w0.copy())
+    dense = DenseAdamW([p], lr=1e-2, weight_decay=0.01)
+    w, m, v = w0.copy(), np.zeros(6), np.zeros(6)
+    for t in range(1, 6):
+        g = rng.normal(size=6).astype(np.float32)
+        adamw_step(d, opt, {"t": g}, lr=1e-2, weight_decay=0.01)
+        p.grad = g
+        dense.step()
+        # float64 moments, bias corrections once per step, decoupled decay, cast back
+        g64 = g.astype(np.float64)
+        m = 0.9 * m + (1.0 - 0.9) * g64
+        v = 0.999 * v + (1.0 - 0.999) * g64 * g64
+        update = (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        w64 = w.astype(np.float64)
+        w = (w64 - 1e-2 * (update + 0.01 * w64)).astype(np.float32)
+        assert d.slices["t"].values.tobytes() == w.tobytes()
+        assert p.data.tobytes() == w.tobytes()
+
+
 def test_misaligned_grads_error():
     d = make_delta([1, 2], [0.0, 0.0])
     opt = DeltaOptimState(d)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import sparsevolve
 from sparsevolve import autodiff as ad
 from sparsevolve import checkpoint as ck
 from sparsevolve import train as train_mod
@@ -131,6 +132,7 @@ def test_checkpoint_meta_records_threads(tmp_path, monkeypatch):
     meta = json.load(open(res.checkpoint + ".json"))
     assert meta["micro_batch_workers"] == 3
     assert meta["blas_threads"] in (1, None)  # None: no bundled OpenBLAS to ask
+    assert meta["malloc_tuned"] is sparsevolve.malloc_tuned()
 
 
 def test_micro_batch_workers_rule():
