@@ -19,6 +19,9 @@ separate threads while they only read shared leaves. Such threads must not
 write ``.grad`` of a shared leaf: each passes its own ``leaf_grads`` store to
 ``backward``, and the owner folds the stores in a fixed order with
 ``accumulate``, which gives the same bits as one backward after another.
+Forward-only passes (evaluation, calibration) record nothing outside a tape
+and only read the parameters, so they may run on separate threads as well;
+their owner folds the per-batch results in batch order.
 """
 
 from __future__ import annotations

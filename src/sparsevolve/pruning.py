@@ -8,10 +8,12 @@ structured (at most N of every M consecutive input-dim weights survive).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .models import ParamTree
 
 UNSTRUCTURED = "unstructured"
@@ -56,29 +58,42 @@ class ActivationNorms:
     tokens: int
 
 
+def _tap_sums(forward, tree: ParamTree, names: list[str], batch) -> dict[str, list[tuple[np.ndarray, int]]]:
+    """One calibration batch: for each tap of a prunable matrix's input, its
+    float64 per-feature sum of squares and its token count."""
+    taps: dict[str, list[np.ndarray]] = {n: [] for n in names}
+    forward(tree, batch, taps=taps)
+    sums: dict[str, list[tuple[np.ndarray, int]]] = {}
+    for name in names:
+        sums[name] = []
+        for arr in taps[name]:
+            a64 = arr.astype(np.float64)
+            sums[name].append(((a64 * a64).sum(axis=0), arr.shape[0]))
+    return sums
+
+
 def collect_activation_norms(forward, tree: ParamTree, batches) -> dict[str, ActivationNorms]:
     """Run calibration batches and collect per-feature activation norms.
 
     ``norms[j]`` is the L2 norm over all calibration tokens of the input
-    feature j feeding each prunable matrix.
+    feature j feeding each prunable matrix. The batches run through
+    ``parallel.ordered_map``; their sums are folded in batch, then tap order,
+    so the norms are bitwise those of a one-thread loop.
     """
+    batches = list(batches)
+    if not batches:
+        raise ValueError("collect_activation_norms: empty calibration set")
     names = tree.prunable_names()
+    run = functools.partial(_tap_sums, forward, tree, names)
     sumsq: dict[str, np.ndarray] = {}
     tokens: dict[str, int] = {n: 0 for n in names}
-    n_batches = 0
-    for batch in batches:
-        n_batches += 1
-        taps: dict[str, list[np.ndarray]] = {n: [] for n in names}
-        forward(tree, batch, taps=taps)
+    for sums in parallel.ordered_map(run, batches, parallel.batch_elements(tree, batches[0])):
         for name in names:
-            for arr in taps[name]:
-                a64 = arr.astype(np.float64)
+            for s, t in sums[name]:
                 if name not in sumsq:
-                    sumsq[name] = np.zeros(arr.shape[1], dtype=np.float64)
-                sumsq[name] += (a64 * a64).sum(axis=0)
-                tokens[name] += arr.shape[0]
-    if n_batches == 0:
-        raise ValueError("collect_activation_norms: empty calibration set")
+                    sumsq[name] = np.zeros(s.shape[0], dtype=np.float64)
+                sumsq[name] += s
+                tokens[name] += t
     return {n: ActivationNorms(np.sqrt(sumsq[n]), tokens[n]) for n in names}
 
 

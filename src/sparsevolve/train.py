@@ -5,6 +5,11 @@ mask-constrained), low-rank adapters with optional post-hoc re-pruning, and
 the frozen pruned baseline. Runs are deterministic given a config and seed:
 the metrics CSV and checkpoints are bitwise reproducible. Wall-clock numbers
 go to a separate timings file so they cannot perturb that guarantee.
+
+Per-batch passes (a step's micro-batches, held-out evaluation, and the
+calibration inside pruning) run through ``parallel.ordered_map``: on threads
+when the batches are large enough, inline otherwise, and always folded in
+batch order, so the thread count never changes a bit of the results.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import blas_threads, malloc_tuned
 from . import checkpoint as ckpt
+from . import parallel
 from .adaptation import (
     CRITERION_SENSITIVITY,
     SOURCE_PRETRAINED,
@@ -243,16 +249,28 @@ class DenseAdamW:
             p.data = adamw_update(p.data, g, m, v, self.step_count, self.lr, self.beta1, self.beta2, self.eps, self.wd)
 
 
+def _eval_batch(forward, tree: ParamTree, vocab: int, adapters, batch) -> tuple[float, int]:
+    """Mean NLL of one validation batch and the number of tokens it scores."""
+    x, y = batch
+    logits = forward(tree, x, adapters=adapters)
+    flat_y = y.reshape(-1)
+    loss = ad.cross_entropy(ad.reshape(logits, (-1, vocab)), flat_y, ignore_index=IGNORE)
+    return loss.item(), int((flat_y != IGNORE).sum())
+
+
 def evaluate_ppl(forward, tree: ParamTree, val_batches, vocab: int, adapters=None) -> float:
-    """exp(mean token NLL) over the validation batches; deterministic."""
+    """exp(mean token NLL) over the validation batches; deterministic.
+
+    The batches run through ``parallel.ordered_map``, and their losses are
+    folded in batch order, so the result is bitwise that of a one-thread loop.
+    """
+    batches = list(val_batches)
+    run = functools.partial(_eval_batch, forward, tree, vocab, adapters)
+    elements = parallel.batch_elements(tree, batches[0][0]) if batches else 0
     total = 0.0
     count = 0
-    for x, y in val_batches:
-        logits = forward(tree, x, adapters=adapters)
-        flat_y = y.reshape(-1)
-        loss = ad.cross_entropy(ad.reshape(logits, (-1, vocab)), flat_y, ignore_index=IGNORE)
-        n = int((flat_y != IGNORE).sum())
-        total += loss.item() * n
+    for loss, n in parallel.ordered_map(run, batches, elements):
+        total += loss * n
         count += n
     if count == 0:
         raise ValueError("evaluate_ppl: validation set has no scored tokens")
@@ -364,17 +382,9 @@ def _make_task_for(cfg: TrainConfig) -> Task:
     return make_task(cfg.task, cfg.context, cfg.batch_size, cfg.seed, corpus=cfg.corpus, copy_vocab=cfg.copy_vocab)
 
 
-def micro_batch_workers(grad_accum: int) -> int:
-    """Threads that run a step's micro-batches: one per usable CPU, at most one per micro-batch."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(grad_accum, cpus)
-
-
-@functools.cache
-def _pool(workers: int):
-    from concurrent.futures import ThreadPoolExecutor  # imported only by runs that use threads
-
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="micro-batch")
+def _micro_batch_elements(cfg: TrainConfig) -> int:
+    """Activation elements of one micro-batch, per layer: at most batch tokens times width."""
+    return cfg.batch_size * cfg.context * cfg.dim
 
 
 def _micro_batch(forward, tree, adapters, vocab: int, batch) -> tuple[float, dict]:
@@ -392,17 +402,15 @@ def _micro_batch(forward, tree, adapters, vocab: int, batch) -> tuple[float, dic
 def _backward_pass(cfg: TrainConfig, tree, forward, task, rng, vocab: int, adapters=None) -> float:
     """Accumulate gradients over the micro-batches; returns the mean loss.
 
-    The batches are drawn first, in order; the micro-batches then run on
-    ``micro_batch_workers`` threads (inline when that is one). Their losses
-    and gradient contributions are folded in micro-batch order, so the sums
-    are bitwise those of running them one after another.
+    The batches are drawn first, in order; the micro-batches then run through
+    ``parallel.ordered_map``. Their losses and gradient contributions are
+    folded in micro-batch order, so the sums are bitwise those of running
+    them one after another.
     """
     batches = [task.train_batch(rng) for _ in range(cfg.grad_accum)]
     run = functools.partial(_micro_batch, forward, tree, adapters, vocab)
-    workers = micro_batch_workers(cfg.grad_accum)
-    results = map(run, batches) if workers == 1 else _pool(workers).map(run, batches)
     loss_sum = 0.0
-    for loss, leaf_grads in results:
+    for loss, leaf_grads in parallel.ordered_map(run, batches, _micro_batch_elements(cfg)):
         loss_sum += loss
         ad.accumulate(leaf_grads)
         del leaf_grads  # not kept alive while waiting for the next micro-batch
@@ -534,7 +542,7 @@ def _save_state(cfg, tree, theta, masks, delta, path, result, extra_dense=None):
         "final_sparsity": result.final_sparsity,
         "trainable_params": result.trainable_params,
         "blas_threads": blas_threads(),
-        "micro_batch_workers": micro_batch_workers(cfg.grad_accum),
+        "micro_batch_workers": parallel.workers(cfg.grad_accum, _micro_batch_elements(cfg)),
         "malloc_tuned": malloc_tuned(),
     }
     ckpt.save_meta(path, meta)

@@ -38,6 +38,7 @@ def test_blas_pinned_when_numpy_is_imported_first():
 def test_blas_still_pinned_after_threaded_step(monkeypatch):
     import numpy as np
 
+    from sparsevolve import parallel
     from sparsevolve import train as train_mod
     from sparsevolve.data import make_task
     from sparsevolve.models import build_transformer
@@ -48,7 +49,7 @@ def test_blas_still_pinned_after_threaded_step(monkeypatch):
     tree, forward = build_transformer(cfg.model_config())
     tree.set_requires_grad(True, names=tree.prunable_names())
     task = make_task("copy", cfg.context, cfg.batch_size, seed=0)
-    monkeypatch.setattr(train_mod, "micro_batch_workers", lambda grad_accum: 2)
+    monkeypatch.setattr(parallel, "workers", lambda n_items, elements: 2)
     train_mod._backward_pass(cfg, tree, forward, task, np.random.default_rng(0), cfg.vocab)
     assert sparsevolve.blas_threads() == 1
 
@@ -78,6 +79,7 @@ print(live.hblks - before.hblks, live.arena - freed.arena, sparsevolve.malloc_tu
 ARENA_PROBE = """
 import sys
 import numpy as np
+from sparsevolve import parallel
 from sparsevolve import train as train_mod
 from sparsevolve.data import make_task
 from sparsevolve.models import build_transformer
@@ -85,7 +87,7 @@ cfg = train_mod.TrainConfig(task="copy", vocab=32, dim=64, context=12, ff_mult=2
 tree, forward = build_transformer(cfg.model_config())
 tree.set_requires_grad(True, names=tree.prunable_names())
 task = make_task("copy", cfg.context, cfg.batch_size, seed=0)
-train_mod.micro_batch_workers = lambda grad_accum: 2
+parallel.workers = lambda n_items, elements: 2
 train_mod._backward_pass(cfg, tree, forward, task, np.random.default_rng(0), cfg.vocab)
 libc.fopen.restype = ctypes.c_void_p
 libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]

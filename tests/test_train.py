@@ -8,6 +8,7 @@ import pytest
 import sparsevolve
 from sparsevolve import autodiff as ad
 from sparsevolve import checkpoint as ck
+from sparsevolve import parallel
 from sparsevolve import train as train_mod
 from sparsevolve.data import IGNORE, make_task
 from sparsevolve.lora import build_adapters
@@ -127,7 +128,7 @@ def test_checkpoint_meta_written(tmp_path):
 
 
 def test_checkpoint_meta_records_threads(tmp_path, monkeypatch):
-    monkeypatch.setattr(train_mod, "micro_batch_workers", lambda grad_accum: 3)
+    monkeypatch.setattr(parallel, "workers", lambda n_items, elements: 3)
     res = train(cfg_for(tmp_path, run_name="threads", steps=2, grad_accum=2, eval_every=0))
     meta = json.load(open(res.checkpoint + ".json"))
     assert meta["micro_batch_workers"] == 3
@@ -137,8 +138,19 @@ def test_checkpoint_meta_records_threads(tmp_path, monkeypatch):
 
 def test_micro_batch_workers_rule():
     cpus = len(os.sched_getaffinity(0))
-    assert train_mod.micro_batch_workers(1) == 1
-    assert train_mod.micro_batch_workers(10**6) == cpus
+    assert parallel.INLINE_BELOW == 1 << 15
+    for n in (1, 2, 4, 10**6):
+        assert parallel.workers(n, 0) == 1
+        assert parallel.workers(n, parallel.INLINE_BELOW - 1) == 1
+        assert parallel.workers(n, parallel.INLINE_BELOW) == min(n, cpus)
+        assert parallel.workers(n, 10**9) == min(n, cpus)
+
+
+def test_copy_shaped_run_records_inline_micro_batches(tmp_path):
+    # 2 x 12 tokens x dim 64 = 1,536 activation elements per micro-batch: below the size gate
+    res = train(cfg_for(tmp_path, run_name="inline", context=12, batch_size=2, grad_accum=4, steps=2, eval_every=0))
+    meta = json.load(open(res.checkpoint + ".json"))
+    assert meta["micro_batch_workers"] == 1
 
 
 def test_nm_pattern_rejects_mismatched_sparsity():
@@ -342,7 +354,7 @@ def test_threaded_backward_pass_bitwise_equals_single_worker(monkeypatch, method
         if workers is None:
             loss = _sequential_reference(cfg, tree, forward, task, np.random.default_rng(5), adapters)
         else:
-            monkeypatch.setattr(train_mod, "micro_batch_workers", lambda grad_accum: workers)
+            monkeypatch.setattr(parallel, "workers", lambda n_items, elements: workers)
             loss = train_mod._backward_pass(cfg, tree, forward, task, np.random.default_rng(5), cfg.vocab, adapters)
         return loss, [t.grad for t in leaves]
 
