@@ -219,15 +219,7 @@ def adaptation_step(
         report.pruned_base += pb
         report.pruned_delta += pd
     report.repaired = repair_support(window, masks, delta, optim, sparsity, restrict_to_mask)
-    total = 0
-    active = 0
-    for name, td in delta.slices.items():
-        numel = masks[name].bits.size
-        sup = support_coords(masks[name], td).size
-        report.per_tensor_sparsity[name] = 1.0 - sup / numel
-        total += numel
-        active += sup
-    report.merged_sparsity = 1.0 - active / total
+    report.merged_sparsity, report.per_tensor_sparsity = merged_support_sparsity(masks, delta)
     return report
 
 

@@ -293,10 +293,7 @@ def inspect_checkpoint(path: str, nm: tuple[int, int] | None = None) -> InspectR
         total += numel
         active += support
         if nm is not None:
-            n, m = nm
-            merged_mask = Mask(name, merged, pattern="nm", n=n, m=m)
-            for r, g in merged_mask.nm_violations():
-                violations.append((name, r, g))
+            violations.extend((name, r, g) for r, g in Mask(name, merged).nm_violations(*nm))
     return InspectReport(
         rows=rows,
         global_sparsity=(1.0 - active / total) if total else None,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -62,19 +61,10 @@ def _parse_bool(s: str) -> bool:
 
 
 def _build_config(args: argparse.Namespace, **forced) -> TrainConfig:
-    d: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            d.update(json.load(f))
-    for f in dataclasses.fields(TrainConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            d[f.name] = v
-    if "nm" in d:  # convenience: "2:4" instead of separate fields
-        n, m = str(d.pop("nm")).split(":")
-        d["nm_n"], d["nm_m"], d["pattern"] = int(n), int(m), "nm"
-    d.update(forced)
-    return TrainConfig.from_dict(d)
+    """The config file (if any) with the given flags, then ``forced``, laid over it."""
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(TrainConfig)}
+    overrides = {k: v for k, v in overrides.items() if v is not None} | forced
+    return TrainConfig.from_file(args.config, overrides) if args.config else TrainConfig.from_dict(overrides)
 
 
 def _model_from_meta(path: str) -> tuple[ModelConfig, TrainConfig]:

@@ -85,9 +85,6 @@ class SparseDelta:
     def support_size(self) -> int:
         return sum(len(td) for td in self.slices.values())
 
-    def per_tensor_sizes(self) -> dict[str, int]:
-        return {name: len(td) for name, td in self.slices.items()}
-
 
 class DeltaOptimState:
     """AdamW moments aligned entry-for-entry with the delta indices."""

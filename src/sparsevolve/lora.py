@@ -15,7 +15,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .models import INIT_STD, ParamTree
-from .pruning import Mask, build_mask, collect_activation_norms, score_wanda
+from .pruning import UNSTRUCTURED, Mask, prune_model
+from .pruning import collect_activation_norms  # noqa: F401  unused here; only bench/tracing.py patches it
 
 
 @dataclass
@@ -53,17 +54,6 @@ def trainable_count(adapters: dict[str, LoraAdapter]) -> int:
     return sum(ad_.param_count() for ad_ in adapters.values())
 
 
-def merge_adapters(theta_sparse: dict[str, np.ndarray], adapters: dict[str, LoraAdapter]) -> dict[str, np.ndarray]:
-    """Fold each adapter into its sparse base matrix; the result is dense."""
-    merged: dict[str, np.ndarray] = {}
-    for name, w in theta_sparse.items():
-        if name in adapters:
-            merged[name] = (w + adapters[name].delta_matrix()).astype(w.dtype)
-        else:
-            merged[name] = w.copy()
-    return merged
-
-
 def merge_and_reprune(
     tree: ParamTree,
     forward,
@@ -72,33 +62,17 @@ def merge_and_reprune(
     calib_batches,
     sparsity: float,
     scorer: str = "wanda",
-    grouping: str = "row",
-) -> tuple[dict[str, np.ndarray], dict[str, Mask]]:
-    """LoRA*: merge adapters into the sparse base, then prune back to budget.
+    pattern: str = UNSTRUCTURED,
+    n: int = 0,
+    m: int = 0,
+) -> tuple[dict[str, Mask], dict[str, np.ndarray]]:
+    """LoRA*: fold the adapters into the masked base, then prune back to budget.
 
-    The merged dense matrices become the new retained weights; scoring runs on
-    the merged model (fresh calibration pass for the activation-aware scorer).
-    Returns (merged dense weights, new masks); the live tree is left holding
-    the re-pruned weights.
+    The fold leaves the live tree dense; ``prune_model`` then scores the merged
+    model (a fresh calibration pass for the activation-aware scorer) and masks
+    it. Returns ``prune_model``'s (new masks, merged dense weights).
     """
     for name, tensor in tree.named_prunable():
         sparse_w = np.where(masks[name].bits, tensor.data, np.zeros((), dtype=tensor.data.dtype))
         tensor.data = sparse_w + adapters[name].delta_matrix().astype(tensor.data.dtype)
-    if scorer == "wanda":
-        acts = collect_activation_norms(forward, tree, calib_batches)
-    elif scorer == "magnitude":
-        acts = None
-    else:
-        raise ValueError(f"merge_and_reprune: unknown scorer {scorer!r}")
-    merged_dense: dict[str, np.ndarray] = {}
-    new_masks: dict[str, Mask] = {}
-    for name, tensor in tree.named_prunable():
-        merged_dense[name] = tensor.data.copy()
-        pat = masks[name].pattern
-        scores = score_wanda(tensor.data, acts[name].norms) if acts is not None else np.abs(tensor.data)
-        new_masks[name] = build_mask(
-            scores, sparsity, pattern=pat, grouping=grouping, n=masks[name].n, m=masks[name].m, name=name
-        )
-        tensor.data = np.where(new_masks[name].bits, tensor.data, np.zeros((), dtype=tensor.data.dtype))
-    return merged_dense, new_masks
-
+    return prune_model(tree, forward, calib_batches, sparsity, scorer=scorer, pattern=pattern, n=n, m=m)

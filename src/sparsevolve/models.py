@@ -84,12 +84,6 @@ class ParamTree:
     def prunable_names(self) -> list[str]:
         return [n for n in self._params if n in self._prunable]
 
-    def total_params(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
-    def prunable_params(self) -> int:
-        return sum(t.data.size for _, t in self.named_prunable())
-
     def set_requires_grad(self, flag: bool, names: list[str] | None = None) -> None:
         for n in names if names is not None else self._params:
             self._params[n].requires_grad = flag
@@ -207,19 +201,6 @@ def build_transformer(cfg: ModelConfig, dtype=np.float32):
         return _linear(xf, tree["head.w"], tree["head.b"], adapters.get("head.w"))
 
     return tree, forward
-
-
-def transformer_param_count(cfg: ModelConfig) -> int:
-    """Closed-form parameter count matching ``build_transformer``."""
-    ff = cfg.ff_mult * cfg.dim
-    per_block = 4 * cfg.dim  # two layer norms, gain and bias each
-    per_block += 4 * (cfg.dim * cfg.dim + cfg.dim)  # attention projections
-    per_block += ff * cfg.dim + ff + cfg.dim * ff + cfg.dim  # feed-forward
-    total = cfg.vocab * cfg.dim + cfg.context * cfg.dim  # embeddings
-    total += cfg.blocks * per_block
-    total += 2 * cfg.dim  # final norm
-    total += cfg.vocab * cfg.dim + cfg.vocab  # head
-    return total
 
 
 def build_mlp(dims: list[int], seed: int = 0, dtype=np.float64):

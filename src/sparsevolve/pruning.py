@@ -4,6 +4,8 @@ Scores are either plain weight magnitude or the activation-aware product
 |W[i,j]| * norm(x_j), where norm(x_j) is the L2 norm of input feature j over
 a calibration set. Masks are unstructured (per-output-row budgets) or N:M
 structured (at most N of every M consecutive input-dim weights survive).
+``prune_model`` is the one path from scores to masks, retained dense weights
+and the masked live tree; the LoRA* re-prune goes through it too.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ class Mask:
 
     name: str
     bits: np.ndarray  # bool, same shape as the weight matrix
-    pattern: str = UNSTRUCTURED
-    n: int = 0
-    m: int = 0
 
     def popcount(self) -> int:
         return int(self.bits.sum())
@@ -36,10 +35,8 @@ class Mask:
     def sparsity(self) -> float:
         return 1.0 - self.popcount() / self.bits.size
 
-    def nm_violations(self, n: int | None = None, m: int | None = None) -> list[tuple[int, int]]:
+    def nm_violations(self, n: int, m: int) -> list[tuple[int, int]]:
         """(row, group) offsets of aligned groups with more than n set bits."""
-        n = self.n if n is None else n
-        m = self.m if m is None else m
         if m <= 0:
             raise ValueError("nm_violations: m must be positive")
         rows, cols = self.bits.shape
@@ -110,17 +107,15 @@ def build_mask(
     scores: np.ndarray,
     sparsity: float,
     pattern: str = UNSTRUCTURED,
-    grouping: str = "row",
     n: int = 0,
     m: int = 0,
     name: str = "",
 ) -> Mask:
     """Keep the highest-scoring coordinates subject to the sparsity budget.
 
-    Unstructured with row grouping clears the lowest floor(sparsity*row_len)
-    scores within each output row; matrix grouping applies one global budget.
-    N:M keeps the n best of every aligned group of m consecutive input-dim
-    weights. Ties always break toward the lower coordinate index.
+    Unstructured clears the lowest floor(sparsity*row_len) scores within each
+    output row. N:M keeps the n best of every aligned group of m consecutive
+    input-dim weights. Ties always break toward the lower coordinate index.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
@@ -131,19 +126,9 @@ def build_mask(
     bits = np.zeros_like(scores, dtype=bool)
 
     if pattern == UNSTRUCTURED:
-        if grouping == "row":
-            drop = int(np.floor(sparsity * cols))
-            keep = cols - drop
-            order = np.argsort(-scores, axis=1, kind="stable")
-            np.put_along_axis(bits, order[:, :keep], True, axis=1)
-        elif grouping == "matrix":
-            numel = scores.size
-            keep = numel - int(np.floor(sparsity * numel))
-            order = np.argsort(-scores.reshape(-1), kind="stable")
-            flat = bits.reshape(-1)
-            flat[order[:keep]] = True
-        else:
-            raise ValueError(f"build_mask: unknown grouping {grouping!r}")
+        keep = cols - int(np.floor(sparsity * cols))
+        order = np.argsort(-scores, axis=1, kind="stable")
+        np.put_along_axis(bits, order[:, :keep], True, axis=1)
     elif pattern == NM:
         if m < 1 or n < 0:
             raise ValueError(f"build_mask: invalid N:M parameters {n}:{m}")
@@ -159,7 +144,7 @@ def build_mask(
     else:
         raise ValueError(f"build_mask: unknown pattern {pattern!r}")
 
-    return Mask(name=name, bits=bits, pattern=pattern, n=n, m=m)
+    return Mask(name=name, bits=bits)
 
 
 def apply_mask(tree: ParamTree, masks: dict[str, Mask]) -> dict[str, np.ndarray]:
@@ -187,11 +172,10 @@ def prune_model(
     sparsity: float,
     scorer: str = "wanda",
     pattern: str = UNSTRUCTURED,
-    grouping: str = "row",
     n: int = 0,
     m: int = 0,
 ) -> tuple[dict[str, Mask], dict[str, np.ndarray]]:
-    """Score, mask, and apply in one pass; returns (masks, retained dense weights)."""
+    """Score the live weights, build the masks and apply them; returns (masks, retained dense weights)."""
     if scorer == "wanda":
         acts = collect_activation_norms(forward, tree, calib_batches)
     elif scorer == "magnitude":
@@ -202,12 +186,5 @@ def prune_model(
     for name, tensor in tree.named_prunable():
         w = tensor.data
         scores = score_wanda(w, acts[name].norms) if acts is not None else np.abs(w)
-        masks[name] = build_mask(scores, sparsity, pattern=pattern, grouping=grouping, n=n, m=m, name=name)
-    retained = apply_mask(tree, masks)
-    return masks, retained
-
-
-def global_sparsity(masks: dict[str, Mask]) -> float:
-    total = sum(m.bits.size for m in masks.values())
-    active = sum(m.popcount() for m in masks.values())
-    return 1.0 - active / total
+        masks[name] = build_mask(scores, sparsity, pattern=pattern, n=n, m=m, name=name)
+    return masks, apply_mask(tree, masks)

@@ -51,7 +51,7 @@ from .delta import (
 from .evolution import EvolutionReport, EvolutionSchedule, GradAccumulator, drop_quota, evolve
 from .lora import build_adapters, merge_and_reprune, trainable_count
 from .models import ModelConfig, ParamTree, build_transformer
-from .pruning import Mask, prune_model
+from .pruning import Mask, apply_mask, prune_model
 
 log = logging.getLogger(__name__)
 
@@ -142,6 +142,11 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Build from a field dict; ``"nm": "2:4"`` stands for the N:M pattern fields."""
+        d = dict(d)
+        if "nm" in d:
+            n, m = str(d.pop("nm")).split(":")
+            d["nm_n"], d["nm_m"], d["pattern"] = int(n), int(m), "nm"
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -282,14 +287,8 @@ def _prune(cfg: TrainConfig, tree: ParamTree, forward, task: Task) -> tuple[dict
     if cfg.base_checkpoint:
         base_masks = ckpt.load_into(tree, cfg.base_checkpoint).masks
     if base_masks:
-        masks = {
-            name: Mask(name, bits.astype(bool), pattern=cfg.pattern, n=cfg.nm_n, m=cfg.nm_m)
-            for name, bits in base_masks.items()
-        }
-        theta = {name: t.data.copy() for name, t in tree.named_prunable()}
-        for name, tensor in tree.named_prunable():
-            tensor.data = np.where(masks[name].bits, tensor.data, np.zeros((), dtype=tensor.data.dtype))
-        return masks, theta
+        masks = {name: Mask(name, bits.astype(bool)) for name, bits in base_masks.items()}
+        return masks, apply_mask(tree, masks)
     calib = task.calib(cfg.calib_batches)
     return prune_model(
         tree,
@@ -329,7 +328,6 @@ def train(cfg: TrainConfig, on_event=None) -> TrainResult:
     ckpt_path, metrics_path, timings_path = _paths(cfg)
 
     masks, theta = _prune(cfg, tree, forward, task)
-    materialize(tree, theta, masks, None)
 
     metrics = MetricsWriter(metrics_path, list(masks))
     timings = open(timings_path, "w", encoding="utf-8")
@@ -517,8 +515,9 @@ def _train_lora(cfg, tree, forward, task, rng, masks, theta, metrics, timings, e
             eval_row(step, train_loss, None, adapters=adapters)
 
     if cfg.method == "lora-star":
-        merged, new_masks = merge_and_reprune(
-            tree, forward, masks, adapters, task.calib(cfg.calib_batches), cfg.sparsity, scorer=cfg.pruner
+        new_masks, merged = merge_and_reprune(
+            tree, forward, masks, adapters, task.calib(cfg.calib_batches), cfg.sparsity,
+            scorer=cfg.pruner, pattern=cfg.pattern, n=cfg.nm_n, m=cfg.nm_m,
         )
         theta.update(merged)
         masks.clear()

@@ -334,8 +334,8 @@ def test_criterion_5_nm_feasibility(tmp_path):
         for name, mask in ev.masks.items():
             flat = mask.bits.reshape(-1).copy()
             flat[ev.delta.slices[name].indices] = True
-            merged = Mask(name, flat.reshape(mask.bits.shape), pattern="nm", n=2, m=4)
-            violations.extend((ev.step, name, r, g) for r, g in merged.nm_violations())
+            merged = Mask(name, flat.reshape(mask.bits.shape))
+            violations.extend((ev.step, name, r, g) for r, g in merged.nm_violations(2, 4))
 
     cfg = TrainConfig(
         vocab=32, dim=64, heads=4, blocks=2, ff_mult=2, context=12, task="copy",
@@ -503,7 +503,7 @@ def test_criterion_10_lora_star_pipeline():
     adapters = build_adapters(tree, rank=2, seed=11)
     for ad_ in adapters.values():
         ad_.b.data = rng.normal(0, 0.05, size=ad_.b.data.shape).astype(np.float32)
-    merged, new_masks = merge_and_reprune(tree, forward, masks, adapters, [ids], 0.5)
+    new_masks, merged = merge_and_reprune(tree, forward, masks, adapters, [ids], 0.5)
     exact = all(
         m.popcount() == m.bits.shape[0] * (m.bits.shape[1] - int(np.floor(0.5 * m.bits.shape[1])))
         for m in new_masks.values()

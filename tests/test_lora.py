@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from sparsevolve import autodiff as ad
+from sparsevolve.adaptation import merged_support_sparsity
 from sparsevolve.autodiff import Tensor
 from sparsevolve.delta import allocate_budget
 from sparsevolve.evolution import EvolutionSchedule
 from sparsevolve.lora import LoraAdapter, build_adapters, merge_and_reprune, trainable_count
 from sparsevolve.models import ModelConfig, _linear, build_transformer
-from sparsevolve.pruning import global_sparsity, prune_model
+from sparsevolve.pruning import prune_model
 
 
 def test_zero_b_gives_base_output():
@@ -71,7 +72,7 @@ def test_merge_and_reprune_zero_adapter_is_identity():
     masks, theta = prune_model(tree, forward, [ids], 0.5)
     before = {n: t.data.copy() for n, t in tree.named_prunable()}
     adapters = build_adapters(tree, rank=2, seed=8)  # B=0 so the merge adds nothing
-    merged, new_masks = merge_and_reprune(tree, forward, masks, adapters, [ids], 0.5)
+    new_masks, merged = merge_and_reprune(tree, forward, masks, adapters, [ids], 0.5)
     for name in masks:
         np.testing.assert_array_equal(masks[name].bits, new_masks[name].bits)
         np.testing.assert_array_equal(tree[name].data, before[name])
@@ -85,7 +86,7 @@ def test_merge_and_reprune_restores_sparsity_popcount():
     adapters = build_adapters(tree, rank=2, seed=11)
     for a in adapters.values():  # make the merge genuinely dense
         a.b.data = np.random.default_rng(12).normal(0, 0.05, size=a.b.data.shape).astype(np.float32)
-    merged, new_masks = merge_and_reprune(tree, forward, masks, adapters, [ids], 0.5)
+    new_masks, merged = merge_and_reprune(tree, forward, masks, adapters, [ids], 0.5)
     for name, m in new_masks.items():
         numel = m.bits.size
         cols = m.bits.shape[1]
@@ -93,7 +94,7 @@ def test_merge_and_reprune_restores_sparsity_popcount():
         assert m.popcount() == keep * m.bits.shape[0]
         assert np.count_nonzero(merged[name]) > m.popcount()  # merge was dense before reprune
         assert np.count_nonzero(tree[name].data) == m.popcount()
-    assert global_sparsity(new_masks) == pytest.approx(0.5, abs=1e-6)
+    assert merged_support_sparsity(new_masks, None)[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_constrained_mode_toggle():

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsevolve.adaptation import merged_support_sparsity
 from sparsevolve.models import ModelConfig, build_mlp, build_transformer
 from sparsevolve.pruning import (
     Mask,
     apply_mask,
     build_mask,
     collect_activation_norms,
-    global_sparsity,
     prune_model,
     score_wanda,
 )
@@ -150,7 +150,7 @@ def test_nm_group_constraint_property(rows, groups, m, seed):
     n = max(1, m // 2)
     scores = np.random.default_rng(seed).normal(size=(rows, groups * m))
     mask = build_mask(scores, 1 - n / m, pattern="nm", n=n, m=m)
-    assert mask.nm_violations() == []
+    assert mask.nm_violations(n, m) == []
     counts = mask.bits.reshape(rows, groups, m).sum(axis=2)
     np.testing.assert_array_equal(counts, n)
 
@@ -226,4 +226,4 @@ def test_global_sparsity_accounting():
         "a": Mask("a", np.array([[True, False], [False, False]])),
         "b": Mask("b", np.ones((2, 2), dtype=bool)),
     }
-    assert global_sparsity(masks) == pytest.approx((3 + 0) / 8)
+    assert merged_support_sparsity(masks, None)[0] == pytest.approx((3 + 0) / 8)

@@ -185,6 +185,16 @@ def test_config_rejects_unknown_keys(tmp_path):
         TrainConfig.from_dict({"bogus": 1})
 
 
+def test_config_file_nm_shorthand(tmp_path):
+    d = {"task": "copy", "sparsity": 0.5, "nm": "2:4"}
+    p = tmp_path / "nm.json"
+    p.write_text(json.dumps(d))
+    cfg = TrainConfig.from_file(str(p))
+    assert (cfg.pattern, cfg.nm_n, cfg.nm_m) == ("nm", 2, 4)
+    assert TrainConfig.from_dict(d) == cfg
+    assert d == {"task": "copy", "sparsity": 0.5, "nm": "2:4"}  # the caller's dict is left as it was
+
+
 def test_base_checkpoint_flow(tmp_path):
     pruned = train(cfg_for(tmp_path / "base", method="frozen", run_name="base"))
     res = train(cfg_for(tmp_path / "ft", base_checkpoint=pruned.checkpoint, steps=20, run_name="ft"))
@@ -198,6 +208,28 @@ def test_lora_star_final_state_is_sparse(tmp_path):
     report = ck.inspect_checkpoint(res.checkpoint)
     assert report.global_sparsity == pytest.approx(0.5, abs=1e-6)
     assert report.delta_support == 0
+
+
+def test_lora_star_reprune_keeps_the_nm_pattern(tmp_path, monkeypatch):
+    repruned = []
+    reprune = train_mod.merge_and_reprune
+
+    def recording(*args, **kwargs):
+        masks, merged = reprune(*args, **kwargs)
+        repruned.append(masks)
+        return masks, merged
+
+    monkeypatch.setattr(train_mod, "merge_and_reprune", recording)
+    cfg = cfg_for(tmp_path, method="lora-star", pattern="nm", nm_n=2, nm_m=4, sparsity=0.5, rank=4, steps=10, run_name="ls-nm")
+    res = train(cfg)
+    (masks,) = repruned
+    assert len(masks) == 2 * (4 + 2) + 1
+    assert all(mask.nm_violations(2, 4) == [] for mask in masks.values())
+    saved = ck.load_state(res.checkpoint).masks
+    assert all(np.array_equal(saved[name], mask.bits) for name, mask in masks.items())
+    report = ck.inspect_checkpoint(res.checkpoint, nm=(2, 4))
+    assert report.ok
+    assert report.global_sparsity == pytest.approx(0.5, abs=1e-12)
 
 
 def test_lora_star_reprune_never_helps_on_distribution(tmp_path):
