@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import DeltaOptimState, SparseDelta, effective_weights, insert_entries, merged_support, remove_entries, top_k
+from .delta import DeltaOptimState, SparseDelta, effective_weights, insert_entries, masked_base, merged_support, remove_entries, top_k
 from .pruning import Mask
 
 log = logging.getLogger(__name__)
@@ -54,16 +54,17 @@ def compute_sensitivity(
     """
     if source not in (SOURCE_PRETRAINED, SOURCE_MERGED):
         raise ValueError(f"compute_sensitivity: unknown source {source!r}")
+    base = masked_base(theta_dense, masks) if source == SOURCE_MERGED else None
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name, td in delta.slices.items():
         coords = support_coords(masks[name], td)
         if coords.size == 0:
             raise ValueError(f"compute_sensitivity: empty support for {name}")
         g = window[name].reshape(-1)[coords]
-        if source == SOURCE_PRETRAINED:
+        if base is None:
             w = theta_dense[name].reshape(-1)[coords]
         else:
-            w = effective_weights(theta_dense[name], masks[name].bits, td).reshape(-1)[coords]
+            w = effective_weights(base[name], td).reshape(-1)[coords]
         out[name] = (coords, np.abs(g * w.astype(np.float64)))
     return out
 
@@ -74,12 +75,13 @@ def magnitude_scores(
     delta: SparseDelta,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """|merged weight| over the support; the classic dynamic-sparse criterion."""
+    base = masked_base(theta_dense, masks)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name, td in delta.slices.items():
         coords = support_coords(masks[name], td)
         if coords.size == 0:
             raise ValueError(f"magnitude_scores: empty support for {name}")
-        w = effective_weights(theta_dense[name], masks[name].bits, td).reshape(-1)[coords]
+        w = effective_weights(base[name], td).reshape(-1)[coords]
         out[name] = (coords, np.abs(w.astype(np.float64)))
     return out
 

@@ -121,20 +121,17 @@ def _tape_stack() -> list[Tape]:
     return stack
 
 
-def active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
 def _tracked(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
 def _recording(parents: tuple[Tensor, ...]) -> Tape | None:
     """The tape an op over ``parents`` would be recorded on, or None."""
-    tape = active_tape()
-    if tape is not None and any(_tracked(p) for p in parents):
-        return tape
+    stack = getattr(_LOCAL, "stack", None)
+    if stack:
+        for p in parents:
+            if p.requires_grad or p.node is not None:
+                return stack[-1]
     return None
 
 
@@ -352,15 +349,25 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _record(out, (a,), vjp)
 
 
+def _mean_last(x: np.ndarray, n: int) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)`` for a last axis of length ``n``, without ``ndarray.mean``'s wrapper.
+
+    The same sum divided the same way, so the bits are equal in float32 and float64.
+    """
+    s = np.add.reduce(x, axis=-1, keepdims=True)
+    s /= n
+    return s
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = a.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("layer_norm", a.data.shape, gain.data.shape)
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _mean_last(x, d)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _mean_last(xc * xc, d)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
@@ -371,7 +378,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if _tracked(a):
             gy = g * gd
             # d/dx of (x - mu)/sigma: remove the mean and the xhat projection
-            ga = inv * (gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+            ga = inv * (gy - _mean_last(gy, d) - xhat * _mean_last(gy * xhat, d))
         if _tracked(gain):
             gg = (g * xhat).reshape(-1, d).sum(axis=0)
         if _tracked(bias):
@@ -412,7 +419,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     out = Tensor(a.data.transpose(axes))
-    inv = tuple(np.argsort(axes))
+    inv = [0] * len(axes)
+    for i, ax in enumerate(axes):
+        inv[ax] = i  # a negative axis counts from the end, as in numpy
 
     def vjp(g):
         return (g.transpose(inv),)

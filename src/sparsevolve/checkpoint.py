@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import SparseDelta, TensorDelta, effective_weights, merged_support
+from .delta import SparseDelta, TensorDelta, effective_weights, masked_base, merged_support
 from .models import ParamTree
 from .pruning import Mask
 
@@ -236,10 +236,11 @@ def load_meta(path: str) -> dict:
 def merge_checkpoint(in_path: str, out_path: str) -> None:
     """Materialize masked-base-plus-delta into explicit dense records."""
     state = load_state(in_path)
+    base = masked_base(state.dense, {name: Mask(name, bits) for name, bits in state.masks.items()})
     records: list[Record] = []
     for name, dense in state.dense.items():
-        if name in state.masks:
-            dense = effective_weights(dense, state.masks[name], state.deltas.get(name))
+        if name in base:
+            dense = effective_weights(base[name], state.deltas.get(name))
         records.append(Record(name, KIND_DENSE, dense.shape, dense=dense))
     write_checkpoint(out_path, records)
     if os.path.exists(in_path + ".json"):

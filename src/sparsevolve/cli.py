@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import make_task
-from .delta import SparseDelta, materialize
+from .delta import SparseDelta, masked_base, materialize
 from .models import ModelConfig, build_transformer
 from .pruning import Mask
 from .train import NumericFailure, TrainConfig, evaluate_ppl, train
@@ -99,12 +99,12 @@ def cmd_eval(args) -> int:
     state = ckpt.load_into(tree, args.checkpoint)
     if state.masks:
         masks = {n: Mask(n, b.astype(bool)) for n, b in state.masks.items()}
-        theta = {n: tree[n].data.copy() for n in masks}
+        base = masked_base({n: tree[n].data for n in masks}, masks)
         delta = None
         if state.deltas:
             delta = SparseDelta({n: len(td) for n, td in state.deltas.items()})
             delta.slices = dict(state.deltas)
-        materialize(tree, theta, masks, delta)
+        materialize(tree, base, delta)
     adapters = _adapters_from_records(state.dense, cfg.rank)
     corpus = args.corpus or cfg.corpus
     task = make_task(cfg.task, cfg.context, cfg.batch_size, cfg.seed, corpus=corpus, copy_vocab=cfg.copy_vocab)

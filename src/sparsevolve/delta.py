@@ -4,6 +4,24 @@ Indices are row-major flat coordinates, kept strictly increasing. The global
 budget is sized to match a low-rank adapter's trainable parameter count at a
 given rank, split per tensor. Per-entry optimizer moments stay aligned with
 the index vector through every insert and remove.
+
+Flat layout. The optimizer keeps all delta values in one contiguous buffer,
+and each AdamW moment in another, in ``delta.slices`` order. Every
+``TensorDelta.values``, ``optim.m[name]`` and ``optim.v[name]`` is a view of
+its part of those buffers, so callers and checkpoint records still see one
+array per tensor. ``adamw_step`` packs on demand: when any of those arrays is
+no longer the view the last pack gave it (``insert_entries`` and
+``remove_entries`` replace them at events, and a caller may assign its own),
+it rebuilds the three buffers once, keeping each slice's values, moments and
+dtype (slices of mixed dtypes are rejected). One AdamW update then runs over
+the whole buffers and writes the new values into them in place, so an array
+kept across a step sees the step; copy it to keep a snapshot.
+
+Merging. ``masked_base`` zeroes the pruned coordinates of the dense base,
+``np.where(bits, theta, 0)``, and ``effective_weights`` copies such a base and
+adds the delta at its coordinates: the one merge of base and delta. A masked
+base is a cache of the mask bits, so refresh it after anything clears bits;
+in training only the adaptation step (``rebuild_mask``) does.
 """
 
 from __future__ import annotations
@@ -93,6 +111,8 @@ class DeltaOptimState:
         self.m = {name: np.zeros(len(td), dtype=np.float64) for name, td in delta.slices.items()}
         self.v = {name: np.zeros(len(td), dtype=np.float64) for name, td in delta.slices.items()}
         self.step = 0
+        # the last pack: ((name, values view, m view, v view) per slice, flat values, flat m, flat v)
+        self.flat: tuple | None = None
 
 
 def allocate_budget(tree: ParamTree, rank: int) -> dict[str, int]:
@@ -137,24 +157,36 @@ def init_support(
     return delta
 
 
-def effective_weights(theta: np.ndarray, bits: np.ndarray, td: TensorDelta | None) -> np.ndarray:
-    """Merged weights: masked base plus the sparse delta at its coordinates."""
-    if bits.shape != theta.shape:
-        raise ValueError(f"effective_weights: mask shape {bits.shape} != theta shape {theta.shape}")
-    w = np.where(bits, theta, np.zeros((), dtype=theta.dtype))
+def masked_base(theta_dense: dict[str, np.ndarray], masks: dict[str, Mask]) -> dict[str, np.ndarray]:
+    """Per masked tensor, the dense base with its pruned coordinates zeroed.
+
+    A cache of the mask bits: refresh it after anything clears bits.
+    """
+    base = {}
+    for name, mask in masks.items():
+        theta = theta_dense[name]
+        if mask.bits.shape != theta.shape:
+            raise ValueError(f"masked_base: mask shape {mask.bits.shape} != theta shape {theta.shape} for {name}")
+        base[name] = np.where(mask.bits, theta, np.zeros((), dtype=theta.dtype))
+    return base
+
+
+def effective_weights(base: np.ndarray, td: TensorDelta | None) -> np.ndarray:
+    """Merged weights as a new array: a masked base plus the sparse delta at its coordinates."""
+    w = base.copy()
     if td is not None and len(td):
-        if td.indices[-1] >= theta.size:
-            raise IndexError(f"effective_weights: delta index {td.indices[-1]} out of range for numel {theta.size}")
+        if td.indices[-1] >= w.size:
+            raise IndexError(f"effective_weights: delta index {td.indices[-1]} out of range for numel {w.size}")
         flat = w.reshape(-1)
-        flat[td.indices] += td.values.astype(theta.dtype)
+        flat[td.indices] += td.values.astype(w.dtype, copy=False)
     return w
 
 
-def materialize(tree: ParamTree, theta_dense: dict[str, np.ndarray], masks: dict[str, Mask], delta: SparseDelta | None) -> None:
-    """Write merged weights into the live tree for every prunable tensor."""
+def materialize(tree: ParamTree, base: dict[str, np.ndarray], delta: SparseDelta | None) -> None:
+    """Write merged weights, from a ``masked_base``, into the live tree for every prunable tensor."""
     for name, tensor in tree.named_prunable():
         td = delta.slices.get(name) if delta is not None else None
-        tensor.data = effective_weights(theta_dense[name], masks[name].bits, td)
+        tensor.data = effective_weights(base[name], td)
 
 
 def _check_aligned(delta: SparseDelta, grads: dict[str, np.ndarray]) -> None:
@@ -163,6 +195,37 @@ def _check_aligned(delta: SparseDelta, grads: dict[str, np.ndarray]) -> None:
         if g is None or g.shape != td.values.shape:
             got = None if g is None else g.shape
             raise ValueError(f"optimizer step: gradient for {name} misaligned (got {got}, need {td.values.shape})")
+
+
+def _packed(delta: SparseDelta, optim: DeltaOptimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat values, m and v buffers; packed anew unless every slice is still the view the last pack gave it."""
+    if optim.flat is not None:
+        views, values, m, v = optim.flat
+        if len(views) == len(delta.slices) and all(
+            name == vname and td.values is vals and optim.m[name] is vm and optim.v[name] is vv
+            for (name, td), (vname, vals, vm, vv) in zip(delta.slices.items(), views)
+        ):
+            return values, m, v
+    for name, td in delta.slices.items():
+        if optim.m[name].shape != td.values.shape or optim.v[name].shape != td.values.shape:
+            raise ValueError(f"optimizer step: moments for {name} misaligned with its {len(td)} entries")
+    dtypes = {td.values.dtype for td in delta.slices.values()}
+    if len(dtypes) > 1:
+        raise ValueError(f"optimizer step: delta slices mix dtypes {sorted(map(str, dtypes))}")
+    names = list(delta.slices)
+    values = np.concatenate([delta.slices[n].values for n in names])
+    m = np.concatenate([optim.m[n] for n in names])
+    v = np.concatenate([optim.v[n] for n in names])
+    views = []
+    start = 0
+    for name in names:
+        td = delta.slices[name]
+        end = start + len(td)
+        td.values, optim.m[name], optim.v[name] = values[start:end], m[start:end], v[start:end]
+        views.append((name, td.values, optim.m[name], optim.v[name]))
+        start = end
+    optim.flat = (views, values, m, v)
+    return values, m, v
 
 
 def adamw_step(
@@ -175,11 +238,12 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One AdamW step over the delta values; indices never change here."""
+    """One AdamW step over the delta values, as one update of the flat buffers; indices never change here."""
     _check_aligned(delta, grads)
     optim.step += 1
-    for name, td in delta.slices.items():
-        td.values = adamw_update(td.values, grads[name], optim.m[name], optim.v[name], optim.step, lr, beta1, beta2, eps, weight_decay)
+    values, m, v = _packed(delta, optim)
+    g = np.concatenate([grads[name] for name in delta.slices], dtype=np.float64)
+    adamw_update(values, g, m, v, optim.step, lr, beta1, beta2, eps, weight_decay, out=values)
 
 
 def adamw_update(
@@ -193,20 +257,38 @@ def adamw_update(
     beta2: float,
     eps: float,
     weight_decay: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """AdamW for one array: updates the float64 moments ``m``/``v`` in place, returns the new ``w`` in its dtype.
 
     The math runs in float64 with bias correction for 1-based ``step`` and
     decoupled weight decay; the sparse delta and the dense adapters share it.
+    It is ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``w - lr*((m/(1-b1**step)) / (sqrt(v/(1-b2**step)) + eps) + wd*w)``,
+    computed in that association order with in-place ufuncs. With ``out``
+    (which may be ``w`` itself) the new weights are written there.
     """
     g = np.asarray(g, dtype=np.float64)
+    tmp = np.multiply(1.0 - beta1, g)
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += tmp
+    np.multiply(1.0 - beta2, g, out=tmp)
+    tmp *= g
     v *= beta2
-    v += (1.0 - beta2) * g * g
-    update = (m / (1.0 - beta1**step)) / (np.sqrt(v / (1.0 - beta2**step)) + eps)
-    w64 = w.astype(np.float64)
-    return (w64 - lr * (update + weight_decay * w64)).astype(w.dtype)
+    v += tmp
+    np.divide(v, 1.0 - beta2**step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    update = np.divide(m, 1.0 - beta1**step)
+    update /= tmp
+    np.multiply(weight_decay, w, out=tmp, dtype=np.float64)  # w is read as float64, exactly
+    update += tmp
+    update *= lr
+    np.subtract(w, update, out=update, dtype=np.float64)
+    if out is None:
+        return update.astype(w.dtype)
+    np.copyto(out, update, casting="same_kind")
+    return out
 
 
 def insert_entries(delta: SparseDelta, name: str, new_indices: np.ndarray, optim: DeltaOptimState | None = None) -> None:

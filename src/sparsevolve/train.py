@@ -46,6 +46,7 @@ from .delta import (
     allocate_budget,
     gather_grads,
     init_support,
+    masked_base,
     materialize,
 )
 from .evolution import EvolutionReport, EvolutionSchedule, GradAccumulator, drop_quota, evolve
@@ -140,13 +141,19 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        """Build from a field dict; ``"nm": "2:4"`` stands for the N:M pattern fields."""
+    @staticmethod
+    def _expand_nm(d: dict) -> dict:
+        """A copy of ``d`` with the ``"nm": "2:4"`` shorthand written as the N:M pattern fields."""
         d = dict(d)
         if "nm" in d:
             n, m = str(d.pop("nm")).split(":")
             d["nm_n"], d["nm_m"], d["pattern"] = int(n), int(m), "nm"
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        """Build from a field dict; ``"nm": "2:4"`` stands for the N:M pattern fields."""
+        d = cls._expand_nm(d)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -155,8 +162,9 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path: str, overrides: dict | None = None) -> "TrainConfig":
+        """The file's fields with ``overrides`` laid over them; the file's ``"nm"`` shorthand is expanded first."""
         with open(path, "r", encoding="utf-8") as f:
-            d = json.load(f)
+            d = cls._expand_nm(json.load(f))
         if overrides:
             d.update(overrides)
         return cls.from_dict(d)
@@ -435,7 +443,8 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
 
     tree.set_requires_grad(False)
     tree.set_requires_grad(True, names=tree.prunable_names())
-    materialize(tree, theta, masks, delta)
+    base = masked_base(theta, masks)  # a cache of the mask bits: refreshed wherever adaptation clears some
+    materialize(tree, base, delta)
 
     train_loss = None
     for step in range(1, cfg.steps + 1):
@@ -445,7 +454,7 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
         dense_grads = {n: t.grad / cfg.grad_accum for n, t in tree.named_prunable()}
         acc.accumulate(dense_grads)
         adamw_step(delta, optim, gather_grads(delta, dense_grads), cfg.lr)
-        materialize(tree, theta, masks, delta)
+        materialize(tree, base, delta)
 
         if step % cfg.every == 0:
             report, window = evolve(delta, optim, acc, masks, schedule, step)
@@ -483,7 +492,8 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
                 }
                 row.update({f"sparsity:{n}": s for n, s in arep.per_tensor_sparsity.items()})
                 metrics.row("adapt", **row)
-            materialize(tree, theta, masks, delta)
+                base = masked_base(theta, masks)
+            materialize(tree, base, delta)
             if on_event is not None:
                 on_event(EventState(step, masks, delta, theta, report, arep))
 

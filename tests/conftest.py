@@ -18,13 +18,3 @@ def tiny_model(tiny_cfg):
     tree, forward = build_transformer(tiny_cfg, dtype=np.float64)
     return tiny_cfg, tree, forward
 
-
-def random_delta_state(rng, numel, support, budget=None, dtype=np.float32):
-    """A random sorted-unique delta slice over a flat tensor of `numel`."""
-    from sparsevolve.delta import SparseDelta, TensorDelta
-
-    idx = np.sort(rng.choice(numel, size=support, replace=False)).astype(np.int64)
-    vals = rng.normal(size=support).astype(dtype)
-    delta = SparseDelta({"t": budget if budget is not None else support}, dtype=dtype)
-    delta.slices["t"] = TensorDelta(idx, vals)
-    return delta

@@ -331,3 +331,41 @@ def test_leaf_grads_store_keeps_contributions_in_order():
     assert [g.tolist() for g in store[x]] == [x.data.tolist(), x.data.tolist(), [3.0, 3.0]]
     ad.accumulate(store)
     assert x.grad.tobytes() == ((x.data + x.data) + np.float32(3.0)).tobytes()
+
+
+def reference_layer_norm(x, gd, bd, g, eps=1e-5):
+    """Layer norm and its VJP written with ``ndarray.mean``: the bitwise reference."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    gy = g * gd
+    ga = inv * (gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gd + bd, ga, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [100, 333])
+def test_layer_norm_forward_and_vjp_bitwise_equal_the_mean_reference(dtype, d):
+    rng = np.random.default_rng(d)
+    x = (rng.normal(size=(3, 7, d)) * 2.5 + 0.3).astype(dtype)
+    gd, bd = rng.normal(size=d).astype(dtype), rng.normal(size=d).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    a, gain, bias = Tensor(x, requires_grad=True), Tensor(gd, requires_grad=True), Tensor(bd, requires_grad=True)
+    with Tape():
+        out = ad.layer_norm(a, gain, bias)
+        got = (out.data, *out.node.vjp(g))
+    for have, want in zip(got, reference_layer_norm(x, gd, bd, g)):
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("axes", [(1, 0), (0, 2, 1, 3), (2, 0, 3, 1), (-1, 0, 1)])
+def test_transpose_vjp_restores_the_input_layout(axes):
+    shape = (2, 3, 4, 5)[: len(axes)]
+    a = Tensor(np.arange(np.prod(shape), dtype=np.float64).reshape(shape), requires_grad=True)
+    with Tape():
+        out = ad.transpose(a, axes)
+        (back,) = out.node.vjp(out.data)
+    np.testing.assert_array_equal(back, a.data)

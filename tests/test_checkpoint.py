@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparsevolve import checkpoint as ck
-from sparsevolve.delta import TensorDelta, allocate_budget, init_support, materialize
+from sparsevolve.delta import TensorDelta, allocate_budget, init_support, masked_base, materialize
 from sparsevolve.models import ModelConfig, build_transformer
 from sparsevolve.pruning import prune_model
 
@@ -19,7 +19,7 @@ def make_state(seed=0, sparsity=0.5):
     rng = np.random.default_rng(seed + 1)
     for td in delta.slices.values():
         td.values = rng.normal(size=len(td)).astype(np.float32)
-    materialize(tree, theta, masks, delta)
+    materialize(tree, masked_base(theta, masks), delta)
     return cfg, tree, forward, masks, theta, delta, ids
 
 

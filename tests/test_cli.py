@@ -97,6 +97,20 @@ def test_config_file_nm_shorthand(tmp_path):
     assert run(["inspect", str(tmp_path / "nmshort.ckpt"), "--nm", "2:4"]) == EXIT_OK
 
 
+def test_nm_flags_override_the_config_files_nm_shorthand(tmp_path):
+    cfg = {
+        "task": "copy", "dim": 64, "context": 16, "batch_size": 4, "sparsity": 0.5,
+        "nm": "2:4", "calib_batches": 2, "out_dir": str(tmp_path),
+    }
+    p = tmp_path / "nm.json"
+    p.write_text(json.dumps(cfg))
+    assert run(["prune", "--config", str(p), "--nm-n", "1", "--nm-m", "2", "--run-name", "nm12"]) == EXIT_OK
+    ckpt = str(tmp_path / "nm12.ckpt")
+    meta = ck.load_meta(ckpt)["config"]
+    assert (meta["pattern"], meta["nm_n"], meta["nm_m"]) == ("nm", 1, 2)
+    assert run(["inspect", ckpt, "--nm", "1:2"]) == EXIT_OK  # one of every two kept, not two of four
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("SPARSEVOLVE_OUT", str(tmp_path))
     code = run(["finetune", *BASE, "--run-name", "envrun"])

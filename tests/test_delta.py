@@ -10,11 +10,13 @@ from sparsevolve.delta import (
     SparseDelta,
     TensorDelta,
     adamw_step,
+    adamw_update,
     allocate_budget,
     effective_weights,
     gather_grads,
     init_support,
     insert_entries,
+    masked_base,
     materialize,
     merged_support,
     remove_entries,
@@ -28,6 +30,19 @@ def make_delta(indices, values, budget=None, dtype=np.float64):
     d = SparseDelta({"t": budget or len(indices)}, dtype=dtype)
     d.slices["t"] = TensorDelta(np.asarray(indices), np.asarray(values, dtype=dtype), dtype=dtype)
     return d
+
+
+def reference_merge(theta, bits, td):
+    """The merge as one formula, the bitwise reference: ``np.where`` on the mask, then the delta scattered in."""
+    w = np.where(bits, theta, np.zeros((), dtype=theta.dtype))
+    if td is not None and len(td):
+        w.reshape(-1)[td.indices] += td.values.astype(theta.dtype)
+    return w
+
+
+def merged(theta, bits, td):
+    """The package's merge of one tensor: its masked base, then ``effective_weights``."""
+    return effective_weights(masked_base({"t": theta}, {"t": Mask("t", bits)})["t"], td)
 
 
 # --- budgets ---
@@ -66,7 +81,7 @@ def test_budget_rejects_zero_rank():
 def test_empty_delta_gives_masked_base():
     theta = np.arange(6, dtype=np.float64).reshape(2, 3)
     bits = np.array([[True, False, True], [False, True, False]])
-    w = effective_weights(theta, bits, None)
+    w = merged(theta, bits, None)
     np.testing.assert_array_equal(w, theta * bits)
 
 
@@ -74,7 +89,7 @@ def test_delta_at_masked_coordinate_stands_alone():
     theta = np.full((2, 2), 7.0)
     bits = np.array([[False, True], [True, True]])
     delta = make_delta([0], [0.75])
-    w = effective_weights(theta, bits, delta.slices["t"])
+    w = merged(theta, bits, delta.slices["t"])
     assert w[0, 0] == 0.75
 
 
@@ -91,12 +106,18 @@ def test_effective_weights_matches_dense_merge_oracle():
         dense = (theta * bits).reshape(-1)
         dense[idx] += vals
         td = TensorDelta(idx, vals, dtype=np.float64)
-        np.testing.assert_allclose(effective_weights(theta, bits, td), dense.reshape(shape))
+        np.testing.assert_allclose(merged(theta, bits, td), dense.reshape(shape))
+        assert merged(theta, bits, td).tobytes() == reference_merge(theta, bits, td).tobytes()
 
 
 def test_effective_weights_index_out_of_range():
     with pytest.raises(IndexError):
-        effective_weights(np.zeros((2, 2)), np.ones((2, 2), bool), TensorDelta([5], [1.0], dtype=np.float64))
+        effective_weights(np.zeros((2, 2)), TensorDelta([5], [1.0], dtype=np.float64))
+
+
+def test_masked_base_rejects_a_mask_of_another_shape():
+    with pytest.raises(ValueError, match="mask shape"):
+        masked_base({"t": np.zeros((2, 3))}, {"t": Mask("t", np.ones((3, 2), bool))})
 
 
 def test_effective_weights_linear_in_delta():
@@ -105,9 +126,9 @@ def test_effective_weights_linear_in_delta():
     bits = rng.random((4, 4)) < 0.6
     idx = np.sort(rng.choice(16, size=5, replace=False))
     vals = rng.normal(size=5)
-    w1 = effective_weights(theta, bits, TensorDelta(idx, vals, dtype=np.float64))
-    w2 = effective_weights(theta, bits, TensorDelta(idx, 2 * vals, dtype=np.float64))
-    base = effective_weights(theta, bits, None)
+    w1 = merged(theta, bits, TensorDelta(idx, vals, dtype=np.float64))
+    w2 = merged(theta, bits, TensorDelta(idx, 2 * vals, dtype=np.float64))
+    base = merged(theta, bits, None)
     np.testing.assert_allclose(w2 - base, 2 * (w1 - base), atol=1e-12)
 
 
@@ -373,7 +394,7 @@ def test_delta_gradient_equals_dense_gradient_at_support():
         loss = ad.cross_entropy(ad.matmul(Tensor(x), ad.transpose(w, (1, 0))), y)
         backward(loss)
 
-    dense = effective_weights(theta, bits, TensorDelta(idx, phi, dtype=np.float64))
+    dense = merged(theta, bits, TensorDelta(idx, phi, dtype=np.float64))
     w2 = Tensor(dense, requires_grad=True)
     with Tape():
         loss2 = ad.cross_entropy(ad.matmul(Tensor(x), ad.transpose(w2, (1, 0))), y)
@@ -389,10 +410,101 @@ def test_materialize_and_gather(tiny_model):
     masks = {n: Mask(n, rng.random(t.data.shape) < 0.5) for n, t in tree.named_prunable()}
     budgets = allocate_budget(tree, 2)
     delta = init_support(theta, masks, budgets, dtype=np.float64)
-    materialize(tree, theta, masks, delta)
+    materialize(tree, masked_base(theta, masks), delta)
     for n, t in tree.named_prunable():
-        np.testing.assert_array_equal(t.data, effective_weights(theta[n], masks[n].bits, delta.slices[n]))
+        assert t.data.tobytes() == reference_merge(theta[n], masks[n].bits, delta.slices[n]).tobytes()
     grads = {n: rng.normal(size=t.data.shape) for n, t in tree.named_prunable()}
     sliced = gather_grads(delta, grads)
     for n, td in delta.slices.items():
         np.testing.assert_array_equal(sliced[n], grads[n].reshape(-1)[td.indices])
+
+
+def test_materialize_from_the_cached_base_equals_the_reference_merge_through_a_run(tmp_path, monkeypatch):
+    # every merge of a real run (the initial one, one per step, one per event) against
+    # the one-formula reference on the current masks: a base left stale after an event
+    # whose adaptation cleared mask bits would keep pruned weights in the tree
+    from sparsevolve import train as train_mod
+
+    seen = {"masks": None, "merges": 0, "pruned_base": 0}
+    real_prune, real_materialize = train_mod._prune, train_mod.materialize
+
+    def prune(*args):
+        seen["masks"], seen["theta"] = out = real_prune(*args)
+        return out
+
+    def materialize_checked(tree, base, delta):
+        real_materialize(tree, base, delta)
+        seen["merges"] += 1
+        for name, t in tree.named_prunable():
+            want = reference_merge(seen["theta"][name], seen["masks"][name].bits, delta.slices[name])
+            assert t.data.tobytes() == want.tobytes(), f"merge {seen['merges']}: {name}"
+
+    def on_event(ev):
+        seen["pruned_base"] += ev.adaptation.pruned_base
+
+    monkeypatch.setattr(train_mod, "_prune", prune)
+    monkeypatch.setattr(train_mod, "materialize", materialize_checked)
+    cfg = train_mod.TrainConfig(
+        task="copy", vocab=32, dim=64, context=12, ff_mult=2, batch_size=2, grad_accum=1, rank=8,
+        every=5, drop_rate=0.3, sparsity=0.6, steps=30, eval_every=0, out_dir=str(tmp_path),
+    )
+    train_mod.train(cfg, on_event=on_event)
+    assert seen["merges"] == 1 + cfg.steps + cfg.steps // cfg.every
+    assert seen["pruned_base"] > 0  # adaptation cleared base bits, so a stale base would show
+
+
+def per_tensor_adamw(delta, optim, grads, lr, weight_decay):
+    """The reference step: one ``adamw_update`` per tensor, each slice its own array."""
+    optim.step += 1
+    for name, td in delta.slices.items():
+        td.values = adamw_update(
+            td.values, grads[name], optim.m[name], optim.v[name], optim.step, lr, 0.9, 0.999, 1e-8, weight_decay
+        )
+
+
+def test_flat_adamw_equals_a_per_tensor_loop_across_events():
+    # slices in non-sorted order and of different sizes; events insert and remove
+    # entries between steps (a repack), and one step follows a caller's own assignment
+    rng = np.random.default_rng(5)
+    numels = {"b": 40, "a": 25, "c": 60}
+    deltas = [SparseDelta(numels, dtype=np.float32) for _ in range(2)]
+    for n, n_el in numels.items():
+        idx = np.sort(rng.choice(n_el, size=n_el // 3, replace=False))
+        vals = rng.normal(size=idx.size).astype(np.float32)
+        for d in deltas:
+            d.slices[n] = TensorDelta(idx, vals.copy())
+    flat, ref = deltas
+    flat_opt, ref_opt = DeltaOptimState(flat), DeltaOptimState(ref)
+    for step in range(1, 31):
+        grads = {n: rng.normal(size=len(td)).astype(np.float32) for n, td in flat.slices.items()}
+        adamw_step(flat, flat_opt, grads, lr=1e-2, weight_decay=0.01)
+        per_tensor_adamw(ref, ref_opt, grads, lr=1e-2, weight_decay=0.01)
+        assert all(td.values.base is flat_opt.flat[1] for td in flat.slices.values())  # views of one buffer
+        for n in numels:
+            for got, want in ((flat.slices[n].values, ref.slices[n].values), (flat_opt.m[n], ref_opt.m[n]), (flat_opt.v[n], ref_opt.v[n])):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (step, n)
+        if step % 5 == 0:  # an event: drop the smallest entries of some tensors, grow elsewhere
+            for n in sorted(numels)[step % 3 :]:
+                td = flat.slices[n]
+                drop = td.indices[np.argsort(np.abs(td.values), kind="stable")[:2]]
+                free = np.setdiff1d(np.arange(numels[n]), td.indices)[-3:]
+                for d, o in ((flat, flat_opt), (ref, ref_opt)):
+                    remove_entries(d, n, drop, o)
+                    insert_entries(d, n, free, o)
+        if step == 12:  # a caller's own arrays, as tests and `cli eval` assign them
+            for d in (flat, ref):
+                d.slices["a"].values = d.slices["a"].values * np.float32(0.5)
+
+
+def test_flat_adamw_rejects_misaligned_moments_and_mixed_dtypes():
+    d = SparseDelta({"a": 2, "b": 2}, dtype=np.float32)
+    d.slices["a"] = TensorDelta([0, 1], np.zeros(2, np.float32))
+    d.slices["b"] = TensorDelta([0, 1], np.zeros(2), dtype=np.float64)
+    opt = DeltaOptimState(d)
+    grads = {"a": np.ones(2), "b": np.ones(2)}
+    with pytest.raises(ValueError, match="mix dtypes"):
+        adamw_step(d, opt, grads, lr=0.1)
+    d.slices["b"] = TensorDelta([0, 1], np.zeros(2, np.float32))
+    opt.m["b"] = np.zeros(3)
+    with pytest.raises(ValueError, match="moments for b misaligned"):
+        adamw_step(d, opt, grads, lr=0.1)

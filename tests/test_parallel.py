@@ -13,7 +13,7 @@ import sparsevolve
 from sparsevolve import autodiff as ad
 from sparsevolve import parallel
 from sparsevolve.data import IGNORE
-from sparsevolve.delta import allocate_budget, init_support, materialize
+from sparsevolve.delta import allocate_budget, init_support, masked_base, materialize
 from sparsevolve.lora import build_adapters
 from sparsevolve.models import ModelConfig, build_transformer
 from sparsevolve.pruning import collect_activation_norms, prune_model
@@ -92,7 +92,7 @@ def _sparse_delta_model():
     rng = np.random.default_rng(4)
     for td in delta.slices.values():
         td.values = rng.normal(0.0, 0.05, size=td.values.shape)
-    materialize(tree, theta, masks, delta)
+    materialize(tree, masked_base(theta, masks), delta)
     return tree, forward, None
 
 

@@ -195,6 +195,15 @@ def test_config_file_nm_shorthand(tmp_path):
     assert d == {"task": "copy", "sparsity": 0.5, "nm": "2:4"}  # the caller's dict is left as it was
 
 
+def test_config_file_nm_shorthand_yields_to_overrides(tmp_path):
+    p = tmp_path / "nm.json"
+    p.write_text(json.dumps({"task": "copy", "sparsity": 0.5, "nm": "2:4"}))
+    cfg = TrainConfig.from_file(str(p), overrides={"nm_n": 1, "nm_m": 2})
+    assert (cfg.pattern, cfg.nm_n, cfg.nm_m) == ("nm", 1, 2)
+    cfg = TrainConfig.from_file(str(p), overrides={"pattern": "unstructured"})
+    assert cfg.pattern == "unstructured"
+
+
 def test_base_checkpoint_flow(tmp_path):
     pruned = train(cfg_for(tmp_path / "base", method="frozen", run_name="base"))
     res = train(cfg_for(tmp_path / "ft", base_checkpoint=pruned.checkpoint, steps=20, run_name="ft"))
@@ -400,3 +409,26 @@ def test_threaded_backward_pass_bitwise_equals_single_worker(monkeypatch, method
         assert threaded[0] == other[0]
         for got, want in zip(threaded[1], other[1]):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_bench_tracer_counts_one_merge_step_and_gather_per_step(tmp_path):
+    # bench/tracing.py times the step through these names; work moved off them
+    # would vanish from its per-layer table without failing anything else
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        cfg = cfg_for(tmp_path, steps=10, every=5, eval_every=0, run_name="traced")
+        tracer.wrap("job", lambda: train(cfg))()
+    finally:
+        restore()
+    calls = {n: c["calls"] for n, c in tracing.summarize(tracer.names, tracer.arrays())["spans"].items()}
+    events = cfg.steps // cfg.every
+    assert calls["delta.adamw_step"] == calls["delta.gather_grads"] == cfg.steps
+    assert calls["delta.materialize"] == 1 + cfg.steps + events
+    assert calls["evolution.evolve"] == calls["adaptation.adaptation_step"] == events
