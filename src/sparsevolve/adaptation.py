@@ -10,6 +10,13 @@ ranking so the merged model sits exactly on budget after every event.
 The weight value feeding the sensitivity product is the retained dense base
 weight by default; the merged value is available behind a flag, as is a plain
 |merged weight| magnitude criterion.
+
+One adaptation step is one edit phase. The support is read once per tensor,
+for scoring; after that the trim, the repair, its sacrifice and the refill
+edit a dense ``delta.EditMap`` per tensor and read the support as
+``mask.bits | live``. One rebuild per tensor writes the entries back at the
+end. The trim also zeroes the caller's cached masked base at every coordinate
+whose mask bit it clears, so the base never needs recomputing.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import DeltaOptimState, SparseDelta, effective_weights, insert_entries, masked_base, merged_support, remove_entries, top_k
+from .delta import DeltaOptimState, EditMap, SparseDelta, effective_weights, masked_base, merged_support, top_k
+from .delta import insert_entries, remove_entries  # noqa: F401  unused here; only bench/tracing.py patches them
 from .pruning import Mask
 
 log = logging.getLogger(__name__)
@@ -37,7 +45,7 @@ def keep_budget(numel: int, sparsity: float) -> int:
 
 def support_coords(mask: Mask, td) -> np.ndarray:
     """Sorted union of mask coordinates and delta coordinates."""
-    return np.flatnonzero(merged_support(mask.bits, td))
+    return merged_support(mask.bits, td).reshape(-1).nonzero()[0]
 
 
 def compute_sensitivity(
@@ -91,21 +99,21 @@ def rebuild_mask(
     scores: np.ndarray,
     sparsity: float,
     mask: Mask,
-    delta: SparseDelta,
-    name: str,
-    optim: DeltaOptimState | None = None,
+    edits: EditMap,
+    base: np.ndarray | None = None,
 ) -> tuple[int, int, bool]:
     """Trim the support of one tensor to its keep budget by score rank.
 
     Keeps the highest-scoring coordinates (ties to lower index). Every removed
-    coordinate loses its mask bit and any delta entry; kept delta-only
-    coordinates stay mask=0 with their entries intact. Returns
+    coordinate loses its mask bit and any delta entry (dropped on ``edits``),
+    and is zeroed in ``base``, the tensor's cached masked base, when one is
+    given; kept delta-only coordinates stay mask=0 with their entries intact. Returns
     (pruned_base, pruned_delta, trimmed). A support already at or below budget
     is left untouched.
     """
     budget = keep_budget(mask.bits.size, sparsity)
     if coords.size < budget:
-        log.debug("rebuild_mask: %s support %d below keep budget %d (already at/below target)", name, coords.size, budget)
+        log.debug("rebuild_mask: %s support %d below keep budget %d (already at/below target)", edits.name, coords.size, budget)
         return 0, 0, False
     if coords.size == budget:
         return 0, 0, False
@@ -115,9 +123,10 @@ def rebuild_mask(
     flat_bits = mask.bits.reshape(-1)
     pruned_base = int(flat_bits[removed].sum())
     flat_bits[removed] = False
-    td = delta.slices[name]
-    dead = removed[np.isin(removed, td.indices, assume_unique=True)]
-    remove_entries(delta, name, dead, optim)
+    if base is not None:
+        base.reshape(-1)[removed] = 0
+    dead = removed[edits.live[removed]]
+    edits.drop(dead)
     return pruned_base, int(dead.size), True
 
 
@@ -125,7 +134,7 @@ def repair_support(
     window: dict[str, np.ndarray],
     masks: dict[str, Mask],
     delta: SparseDelta,
-    optim: DeltaOptimState | None,
+    edits: dict[str, EditMap],
     sparsity: float,
     restrict_to_mask: bool = False,
 ) -> int:
@@ -136,27 +145,31 @@ def repair_support(
     made by discarding the smallest-magnitude entries at coordinates the mask
     already covers, which leaves the support unchanged. Entry slots freed by
     the trim stage are refilled the same way at mask-covered coordinates, so
-    the delta sits at its full budget between events. Returns the number of
+    the delta sits at its full budget between events. Edits go on each
+    tensor's map in ``edits``, which may already hold this phase's drops but
+    no grows; the support is ``mask.bits | live``. Returns the number of
     repaired support coordinates.
     """
     repaired = 0
     for name, td in delta.slices.items():
+        entries = edits[name]
         bits = masks[name].bits.reshape(-1)
-        support = support_coords(masks[name], td)
-        deficit = keep_budget(bits.size, sparsity) - support.size
+        support = bits | entries.live
+        deficit = keep_budget(bits.size, sparsity) - int(np.count_nonzero(support))
         if deficit > 0:
             flat = np.abs(window[name].reshape(-1))
-            eligible = np.ones(flat.size, dtype=bool)
-            eligible[support] = False
+            eligible = ~support
             if restrict_to_mask:
                 eligible &= bits
             n_picks = min(deficit, int(np.count_nonzero(eligible)))
             if n_picks < deficit:
                 log.warning("repair_support: %s lacks candidates for %d of %d repairs", name, deficit - n_picks, deficit)
-            slack = delta.budgets[name] - len(td)
+            slack = delta.budgets[name] - entries.count
             overflow = n_picks - slack
             if overflow > 0:
-                covered = bits[td.indices]
+                held = entries.live[td.indices]  # the entries left, in coordinate order (none grown yet)
+                idx = td.indices[held]
+                covered = bits[idx]
                 n_sac = min(overflow, int(covered.sum()))
                 if n_sac < overflow:
                     log.warning(
@@ -164,17 +177,15 @@ def repair_support(
                     )
                     n_picks = slack + n_sac
                 if n_sac > 0:
-                    vals = np.abs(td.values.astype(np.float64))
+                    vals = np.abs(td.values[held].astype(np.float64))
                     vals[~covered] = np.inf  # only sacrifice entries the mask still covers
-                    remove_entries(delta, name, td.indices[top_k(-vals, n_sac)], optim)
-            insert_entries(delta, name, top_k(flat, n_picks, eligible), optim)
+                    entries.drop(idx[top_k(-vals, n_sac)])
+            entries.grow(top_k(flat, n_picks, eligible))
             repaired += n_picks
-        free = delta.budgets[name] - len(td)
+        free = delta.budgets[name] - entries.count
         if free > 0:
             # support-neutral refill: new entries only at mask-covered coordinates
-            eligible = bits.copy()
-            eligible[td.indices] = False
-            insert_entries(delta, name, top_k(np.abs(window[name].reshape(-1)), free, eligible), optim)
+            entries.grow(top_k(np.abs(window[name].reshape(-1)), free, bits & ~entries.live))
     return repaired
 
 
@@ -200,12 +211,14 @@ def adaptation_step(
     criterion: str = CRITERION_SENSITIVITY,
     source: str = SOURCE_PRETRAINED,
     restrict_to_mask: bool = False,
+    base: dict[str, np.ndarray] | None = None,
 ) -> AdaptationReport:
     """Trim every tensor's merged support back to the sparsity budget.
 
     Runs immediately after a drop/grow cycle on the same accumulated-gradient
-    window, then repairs any under-budget tensors. The live masked weights are
-    re-derivable from the retained dense base afterwards.
+    window, then repairs any under-budget tensors, then rebuilds each edited
+    tensor's entries once. ``base``, a ``masked_base`` of ``theta_dense``
+    under ``masks``, is kept in step with the trimmed masks in place.
     """
     if criterion == CRITERION_SENSITIVITY:
         scored = compute_sensitivity(window, theta_dense, masks, delta, source=source)
@@ -213,14 +226,17 @@ def adaptation_step(
         scored = magnitude_scores(theta_dense, masks, delta)
     else:
         raise ValueError(f"adaptation_step: unknown criterion {criterion!r}")
+    edits = {name: EditMap(name, td.indices, masks[name].bits.size) for name, td in delta.slices.items()}
     report = AdaptationReport(step=step)
     for name in delta.slices:
         coords, scores = scored[name]
         report.under_budget += int(coords.size < keep_budget(masks[name].bits.size, sparsity))
-        pb, pd, _ = rebuild_mask(coords, scores, sparsity, masks[name], delta, name, optim)
+        pb, pd, _ = rebuild_mask(coords, scores, sparsity, masks[name], edits[name], None if base is None else base[name])
         report.pruned_base += pb
         report.pruned_delta += pd
-    report.repaired = repair_support(window, masks, delta, optim, sparsity, restrict_to_mask)
+    report.repaired = repair_support(window, masks, delta, edits, sparsity, restrict_to_mask)
+    for entries in edits.values():
+        entries.rebuild(delta, optim)
     report.merged_sparsity, report.per_tensor_sparsity = merged_support_sparsity(masks, delta)
     return report
 
@@ -233,7 +249,7 @@ def merged_support_sparsity(masks: dict[str, Mask], delta: SparseDelta | None) -
     for name, mask in masks.items():
         numel = mask.bits.size
         if delta is not None and name in delta.slices:
-            sup = support_coords(mask, delta.slices[name]).size
+            sup = int(np.count_nonzero(merged_support(mask.bits, delta.slices[name])))
         else:
             sup = mask.popcount()
         per[name] = 1.0 - sup / numel

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +82,9 @@ def write_checkpoint(path: str, records: list[Record]) -> None:
     blob = b"".join([MAGIC, struct.pack("<H", VERSION), *map(_encode_record, records)])
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
+    # created as open() creates files (0666 less the umask), unlike mkstemp's 0600
+    tmp = os.path.join(directory, f".ckpt-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(blob)

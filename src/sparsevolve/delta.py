@@ -3,25 +3,35 @@
 Indices are row-major flat coordinates, kept strictly increasing. The global
 budget is sized to match a low-rank adapter's trainable parameter count at a
 given rank, split per tensor. Per-entry optimizer moments stay aligned with
-the index vector through every insert and remove.
+the index vector through every edit.
+
+Editing. A topology event edits each tensor's entries on an ``EditMap``: a
+dense live-entry bitmap plus a bitmap of reset coordinates, those grown in the
+phase (including dropped-then-regrown ones), whose value and both moments
+restart at zero. Grows and drops only flip bits (and refuse present, absent or
+repeated coordinates). At the end of the phase ``EditMap.rebuild`` writes the
+tensor's sorted indices, values and moments back once, gathered through the
+bitmaps: no sort, no search, no per-edit merge. ``insert_entries`` and ``remove_entries``
+are one grow or drop each on such a map.
 
 Flat layout. The optimizer keeps all delta values in one contiguous buffer,
 and each AdamW moment in another, in ``delta.slices`` order. Every
 ``TensorDelta.values``, ``optim.m[name]`` and ``optim.v[name]`` is a view of
 its part of those buffers, so callers and checkpoint records still see one
 array per tensor. ``adamw_step`` packs on demand: when any of those arrays is
-no longer the view the last pack gave it (``insert_entries`` and
-``remove_entries`` replace them at events, and a caller may assign its own),
-it rebuilds the three buffers once, keeping each slice's values, moments and
-dtype (slices of mixed dtypes are rejected). One AdamW update then runs over
-the whole buffers and writes the new values into them in place, so an array
-kept across a step sees the step; copy it to keep a snapshot.
+no longer the view the last pack gave it (a rebuild replaces them at events,
+and a caller may assign its own), it rebuilds the three buffers once, keeping
+each slice's values, moments and dtype (slices of mixed dtypes are rejected).
+One AdamW update then runs over the whole buffers and writes the new values
+into them in place, so an array kept across a step sees the step; copy it to
+keep a snapshot.
 
 Merging. ``masked_base`` zeroes the pruned coordinates of the dense base,
 ``np.where(bits, theta, 0)``, and ``effective_weights`` copies such a base and
 adds the delta at its coordinates: the one merge of base and delta. A masked
-base is a cache of the mask bits, so refresh it after anything clears bits;
-in training only the adaptation step (``rebuild_mask``) does.
+base is a cache of the mask bits. In training the only code that clears bits,
+the adaptation trim (``adaptation.rebuild_mask``), zeroes the cached base at
+the coordinates it clears, so the base is computed once, after pruning.
 """
 
 from __future__ import annotations
@@ -58,25 +68,26 @@ def top_k(scores: np.ndarray, k: int, eligible: np.ndarray | None = None) -> np.
     then every score above it is taken plus the lowest-position ties. Fewer
     than ``k`` eligible positions returns all of them.
     """
+    if k <= 0:
+        return np.zeros(0, dtype=np.int64)
     scores = np.asarray(scores).reshape(-1)
     cand = None
     if eligible is not None:
-        cand = np.flatnonzero(eligible)
+        cand = np.asarray(eligible).reshape(-1).nonzero()[0]
         scores = scores[cand]
-    if k <= 0:
-        return np.zeros(0, dtype=np.int64)
     if k >= scores.size:
         return cand if cand is not None else np.arange(scores.size, dtype=np.int64)
     neg = -scores  # ascending order of neg is the ranking; partition puts NaN last
-    kth = np.partition(neg, k - 1)[k - 1]
+    neg.partition(k - 1)
+    kth = -neg[k - 1]
     if np.isnan(kth):
-        above = ~np.isnan(neg)
-        tied = np.flatnonzero(~above)
+        above = ~np.isnan(scores)
+        tied = (~above).nonzero()[0]
     else:
-        above = neg < kth
-        tied = np.flatnonzero(neg == kth)
+        above = scores > kth
+        tied = (scores == kth).nonzero()[0]
     above[tied[: k - int(np.count_nonzero(above))]] = True
-    picks = np.flatnonzero(above)
+    picks = above.nonzero()[0]
     return cand[picks] if cand is not None else picks
 
 
@@ -160,7 +171,7 @@ def init_support(
 def masked_base(theta_dense: dict[str, np.ndarray], masks: dict[str, Mask]) -> dict[str, np.ndarray]:
     """Per masked tensor, the dense base with its pruned coordinates zeroed.
 
-    A cache of the mask bits: refresh it after anything clears bits.
+    A cache of the mask bits: whatever clears bits must zero them here too.
     """
     base = {}
     for name, mask in masks.items():
@@ -291,54 +302,101 @@ def adamw_update(
     return out
 
 
-def insert_entries(delta: SparseDelta, name: str, new_indices: np.ndarray, optim: DeltaOptimState | None = None) -> None:
-    """Insert zero-valued entries (and zero moments) at new coordinates."""
-    new_indices = np.asarray(new_indices, dtype=np.int64)
-    if new_indices.size == 0:
+class EditMap:
+    """One tensor's delta entries as dense bitmaps, edited through one phase of an event.
+
+    ``live`` marks the coordinates that hold an entry; ``reset`` marks those
+    grown during the phase (a dropped-then-regrown one included), whose value
+    and both moments restart at zero. ``rebuild`` then writes the phase's
+    result back once, as sorted indices, values and moments gathered through
+    the two bitmaps: no sort, no search.
+    """
+
+    __slots__ = ("name", "live", "reset", "count", "edited")
+
+    def __init__(self, name: str, indices: np.ndarray, numel: int):
+        self.name = name
+        self.live = np.zeros(numel, dtype=bool)
+        self.live[indices] = True
+        self.reset = np.zeros(numel, dtype=bool)
+        self.count = int(indices.size)  # live entries
+        self.edited = False
+
+    def _set(self, coords: np.ndarray, to: bool) -> None:
+        """Set ``live`` at coordinates that all hold ``not to``; a repeated coordinate is refused."""
+        self.live[coords] = to
+        count = self.count + (coords.size if to else -coords.size)
+        if np.count_nonzero(self.live) != count:
+            self.live[coords] = not to
+            raise ValueError(f"duplicate indices for {self.name}")
+        self.count = count
+        self.edited = True
+
+    def grow(self, coords: np.ndarray) -> None:
+        """New entries, zero-valued with zero moments, at coordinates (non-negative) that hold none."""
+        coords = np.asarray(coords, dtype=np.int64)
+        if coords.size == 0:
+            return
+        if self.live[coords].any():
+            raise ValueError(f"grow: index already present for {self.name}")
+        self._set(coords, True)
+        self.reset[coords] = True
+
+    def drop(self, coords: np.ndarray) -> None:
+        """Discard the entries (values and moments) at these coordinates (non-negative)."""
+        coords = np.asarray(coords, dtype=np.int64)
+        if coords.size == 0:
+            return
+        if not self.live[coords].all():
+            raise ValueError(f"drop: index not present for {self.name}")
+        self._set(coords, False)
+
+    def rebuild(self, delta: SparseDelta, optim: DeltaOptimState | None = None) -> None:
+        """Write the edited entries back into ``delta`` (and ``optim``): one gather per array, nothing if unedited.
+
+        Every live coordinate that is not reset held an entry before the
+        phase, so the old entries kept (live, not reset) and the new entries
+        carried (not reset) are the same ones, both in coordinate order.
+        """
+        if not self.edited:
+            return
+        td = delta.slices[self.name]
+        old = td.indices
+        kept = (self.live[old] & ~self.reset[old]).nonzero()[0]
+        indices = self.live.nonzero()[0]
+        carried = (~self.reset[indices]).nonzero()[0]
+
+        def gather(arr: np.ndarray) -> np.ndarray:
+            out = np.zeros(indices.size, dtype=arr.dtype)
+            out[carried] = arr[kept]
+            return out
+
+        td.indices, td.values = indices, gather(td.values)
+        if optim is not None:
+            optim.m[self.name], optim.v[self.name] = gather(optim.m[self.name]), gather(optim.v[self.name])
+
+
+def _edit_once(delta: SparseDelta, name: str, coords: np.ndarray, optim: DeltaOptimState | None, edit) -> None:
+    """``edit`` (``EditMap.grow`` or ``EditMap.drop``) on a map just large enough, rebuilt at once."""
+    coords = np.asarray(coords, dtype=np.int64)
+    if coords.size == 0:
         return
-    new_indices = np.sort(new_indices)
-    if np.any(np.diff(new_indices) == 0):
-        raise ValueError(f"insert_entries: duplicate indices for {name}")
+    if coords.min() < 0:
+        raise ValueError(f"negative index for {name}")  # would alias the end of the map
     td = delta.slices[name]
-    pos = np.searchsorted(td.indices, new_indices)
-    inb = pos < len(td)
-    if np.any(td.indices[pos[inb]] == new_indices[inb]):
-        raise ValueError(f"insert_entries: index already present for {name}")
-    # one merged layout for the four aligned arrays: new entries land at `at`
-    at = pos + np.arange(new_indices.size)
-    old = np.ones(len(td) + new_indices.size, dtype=bool)
-    old[at] = False
+    edits = EditMap(name, td.indices, 1 + int(max(coords.max(), td.indices[-1] if len(td) else 0)))
+    edit(edits, coords)
+    edits.rebuild(delta, optim)
 
-    def merged(arr: np.ndarray) -> np.ndarray:
-        out = np.zeros(old.size, dtype=arr.dtype)
-        out[old] = arr
-        return out
 
-    td.indices = merged(td.indices)
-    td.indices[at] = new_indices
-    td.values = merged(td.values)
-    if optim is not None:
-        optim.m[name] = merged(optim.m[name])
-        optim.v[name] = merged(optim.v[name])
+def insert_entries(delta: SparseDelta, name: str, new_indices: np.ndarray, optim: DeltaOptimState | None = None) -> None:
+    """Insert zero-valued entries (and zero moments) at new coordinates: one ``EditMap`` grow and rebuild."""
+    _edit_once(delta, name, new_indices, optim, EditMap.grow)
 
 
 def remove_entries(delta: SparseDelta, name: str, drop_indices: np.ndarray, optim: DeltaOptimState | None = None) -> None:
-    """Discard entries (values and moments) at existing coordinates."""
-    drop_indices = np.asarray(drop_indices, dtype=np.int64)
-    if drop_indices.size == 0:
-        return
-    drop_indices = np.sort(drop_indices)
-    td = delta.slices[name]
-    pos = np.searchsorted(td.indices, drop_indices)
-    if np.any(pos >= len(td)) or np.any(td.indices[pos] != drop_indices):
-        raise ValueError(f"remove_entries: index not present for {name}")
-    keep = np.ones(len(td), dtype=bool)
-    keep[pos] = False
-    td.indices = td.indices[keep]
-    td.values = td.values[keep]
-    if optim is not None:
-        optim.m[name] = optim.m[name][keep]
-        optim.v[name] = optim.v[name][keep]
+    """Discard entries (values and moments) at existing coordinates: one ``EditMap`` drop and rebuild."""
+    _edit_once(delta, name, drop_indices, optim, EditMap.drop)
 
 
 def gather_grads(delta: SparseDelta, dense_grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -5,6 +5,11 @@ the same number of new entries is grown at the coordinates with the largest
 accumulated-gradient magnitudes. Growth may reactivate masked (pruned base)
 coordinates unless the run is structured or mask-constrained. The per-cycle
 turnover follows a cosine decay of the initial drop rate over the run.
+
+Each tensor's drops and grows are edits on one dense ``delta.EditMap``: a
+drop clears live bits, a grow sets live and reset bits (so a dropped
+coordinate that is regrown restarts from zero value and zero moments), and
+one rebuild per tensor writes the sorted entries back at the end of the cycle.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import DeltaOptimState, SparseDelta, TensorDelta, insert_entries, remove_entries, top_k
+from .delta import DeltaOptimState, EditMap, SparseDelta, TensorDelta, top_k
+from .delta import insert_entries, remove_entries  # noqa: F401  unused here; only bench/tracing.py patches them
 from .pruning import Mask
 
 
@@ -87,20 +93,21 @@ def select_drop(td: TensorDelta, count: int) -> np.ndarray:
 
 def select_grow(
     acc: np.ndarray,
-    active_indices: np.ndarray,
+    live: np.ndarray,
     mask_bits: np.ndarray | None,
     count: int,
     restrict_to_mask: bool = False,
 ) -> tuple[np.ndarray, int]:
     """Coordinates with the largest |accumulated gradient| outside the active set.
 
-    Masked coordinates are eligible (reactivation) unless ``restrict_to_mask``.
-    Returns (sorted coordinates, shortfall) where shortfall counts how many of
-    the requested entries had no eligible candidate.
+    ``live`` is the bitmap of coordinates that hold a delta entry (shaped like
+    ``acc`` or flat). Masked coordinates are eligible (reactivation) unless
+    ``restrict_to_mask``. Returns (sorted coordinates, shortfall) where
+    shortfall counts how many of the requested entries had no eligible
+    candidate.
     """
     flat = np.abs(acc.reshape(-1))
-    eligible = np.ones(flat.size, dtype=bool)
-    eligible[active_indices] = False
+    eligible = ~live.reshape(-1)
     if restrict_to_mask:
         if mask_bits is None:
             raise ValueError("select_grow: mask required when growth is restricted")
@@ -167,7 +174,8 @@ def evolve(
     """One drop-then-grow cycle; resets the accumulator.
 
     The global quota is apportioned per tensor proportionally to its current
-    support. Dropped coordinates remain eligible for an immediate regrow. The
+    support. Dropped coordinates remain eligible for an immediate regrow, with
+    zero value and zero moments. Each tensor's entries are rebuilt once. The
     accumulated-gradient window is returned so the sparsity-adaptation stage
     can reuse it after the reset.
     """
@@ -182,10 +190,12 @@ def evolve(
     for name, share in sorted(zip(names, shares)):
         td = delta.slices[name]
         bits = masks[name].bits
+        edits = EditMap(name, td.indices, bits.size)
         dropped = select_drop(td, share)
-        remove_entries(delta, name, dropped, optim)
-        grown, shortfall = select_grow(window[name], td.indices, bits, share, schedule.restrict_growth)
-        insert_entries(delta, name, grown, optim)
+        edits.drop(dropped)
+        grown, shortfall = select_grow(window[name], edits.live, bits, share, schedule.restrict_growth)
+        edits.grow(grown)
+        edits.rebuild(delta, optim)
         react = int((~bits.reshape(-1)[grown]).sum())
         report.dropped += dropped.size
         report.grown += grown.size

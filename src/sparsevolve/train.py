@@ -443,7 +443,7 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
 
     tree.set_requires_grad(False)
     tree.set_requires_grad(True, names=tree.prunable_names())
-    base = masked_base(theta, masks)  # a cache of the mask bits: refreshed wherever adaptation clears some
+    base = masked_base(theta, masks)  # a cache of the mask bits: the adaptation trim zeroes what it clears
     materialize(tree, base, delta)
 
     train_loss = None
@@ -451,12 +451,15 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
         t0 = time.perf_counter()
         tree.zero_grads()
         train_loss = _backward_pass(cfg, tree, forward, task, rng, cfg.vocab)
-        dense_grads = {n: t.grad / cfg.grad_accum for n, t in tree.named_prunable()}
+        if cfg.grad_accum == 1:  # x / 1 is exact: pass the gradients through, no dense copies
+            dense_grads = {n: t.grad for n, t in tree.named_prunable()}
+        else:
+            dense_grads = {n: t.grad / cfg.grad_accum for n, t in tree.named_prunable()}
         acc.accumulate(dense_grads)
         adamw_step(delta, optim, gather_grads(delta, dense_grads), cfg.lr)
-        materialize(tree, base, delta)
 
-        if step % cfg.every == 0:
+        event = step % cfg.every == 0
+        if event:
             report, window = evolve(delta, optim, acc, masks, schedule, step)
             result.reactivations += report.reactivations
             result.grown += report.grown
@@ -482,6 +485,7 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
                     criterion=cfg.adapt_criterion,
                     source=cfg.adapt_source,
                     restrict_to_mask=schedule.restrict_growth,
+                    base=base,
                 )
                 row = {
                     "step": step,
@@ -492,10 +496,9 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
                 }
                 row.update({f"sparsity:{n}": s for n, s in arep.per_tensor_sparsity.items()})
                 metrics.row("adapt", **row)
-                base = masked_base(theta, masks)
-            materialize(tree, base, delta)
-            if on_event is not None:
-                on_event(EventState(step, masks, delta, theta, report, arep))
+        materialize(tree, base, delta)  # once per step, after the event on an event step
+        if event and on_event is not None:
+            on_event(EventState(step, masks, delta, theta, report, arep))
 
         timings.write(f"{step},{(time.perf_counter() - t0) * 1000:.3f}\n")
         if step == cfg.steps or (cfg.eval_every and step % cfg.eval_every == 0):

@@ -15,6 +15,7 @@ from sparsevolve.adaptation import keep_budget, rebuild_mask, support_coords
 from sparsevolve.autodiff import Tape, Tensor, backward, grad_check
 from sparsevolve.delta import (
     DeltaOptimState,
+    EditMap,
     SparseDelta,
     TensorDelta,
     allocate_budget,
@@ -237,7 +238,9 @@ def test_criterion_3_topk_oracle():
         acc = rng.integers(-3, 4, size=numel).astype(float)
         bits = rng.random(numel) < 0.5
         restrict = bool(rng.integers(0, 2))
-        got, _ = select_grow(acc, idx, bits, count, restrict)
+        live = np.zeros(numel, dtype=bool)
+        live[idx] = True
+        got, _ = select_grow(acc, live, bits, count, restrict)
         np.testing.assert_array_equal(got, brute_grow(acc, idx, bits, count, restrict))
         # build_mask
         cols = int(rng.integers(1, 17))
@@ -261,7 +264,9 @@ def test_criterion_3_topk_oracle():
         d.slices["t"] = TensorDelta(dcoords, np.ones(len(dcoords), dtype=np.float32))
         budget = keep_budget(numel, sparsity)
         expect = brute_rebuild_keep(coords, s, budget) if sup_n >= budget else sorted(coords)
-        rebuild_mask(coords, s, sparsity, mask, d, "t")
+        edits = EditMap("t", d.slices["t"].indices, numel)
+        rebuild_mask(coords, s, sparsity, mask, edits)
+        edits.rebuild(d)
         np.testing.assert_array_equal(support_coords(mask, d.slices["t"]), expect)
     report(3, True, f"drop/grow/build/rebuild match brute-force sort on {n_instances} instances each", t0)
 

@@ -11,7 +11,7 @@ from sparsevolve.adaptation import (
     repair_support,
     support_coords,
 )
-from sparsevolve.delta import DeltaOptimState, SparseDelta, TensorDelta, insert_entries, remove_entries
+from sparsevolve.delta import DeltaOptimState, EditMap, SparseDelta, TensorDelta, insert_entries, masked_base, remove_entries
 from sparsevolve.pruning import Mask
 
 
@@ -24,6 +24,27 @@ def state(numel, mask_coords, delta_coords, delta_vals, theta=None, budget=None,
     d.slices["t"] = TensorDelta(np.asarray(delta_coords, dtype=np.int64), np.asarray(delta_vals, dtype=np.float32))
     theta = theta if theta is not None else np.arange(1, numel + 1, dtype=np.float64).reshape(shape)
     return theta, mask, d
+
+
+def edit_maps(d, masks):
+    return {n: EditMap(n, td.indices, masks[n].bits.size) for n, td in d.slices.items()}
+
+
+def trim_and_rebuild(coords, scores, sparsity, mask, d, optim=None, base=None):
+    """``rebuild_mask`` on a fresh edit map, rebuilt straight after, as one phase."""
+    edits = edit_maps(d, {"t": mask})["t"]
+    out = rebuild_mask(coords, scores, sparsity, mask, edits, base)
+    edits.rebuild(d, optim)
+    return out
+
+
+def repair_and_rebuild(window, masks, d, optim, sparsity, restrict_to_mask=False):
+    """``repair_support`` on fresh edit maps, rebuilt straight after, as one phase."""
+    edits = edit_maps(d, masks)
+    repaired = repair_support(window, masks, d, edits, sparsity, restrict_to_mask)
+    for entries in edits.values():
+        entries.rebuild(d, optim)
+    return repaired
 
 
 def test_sensitivity_hand_product():
@@ -81,7 +102,7 @@ def test_rebuild_keeps_top_four_of_ten():
     theta, mask, d = state(10, range(10), [], [])
     scores = np.array([9.0, 1.0, 8.0, 2.0, 7.0, 3.0, 6.0, 4.0, 5.0, 0.0])
     coords = support_coords(mask, d.slices["t"])
-    pb, pd, trimmed = rebuild_mask(coords, scores, 0.6, mask, d, "t")
+    pb, pd, trimmed = trim_and_rebuild(coords, scores, 0.6, mask, d)
     assert keep_budget(10, 0.6) == 4
     np.testing.assert_array_equal(np.flatnonzero(mask.bits), [0, 2, 4, 6])
     assert pb == 6 and pd == 0 and trimmed
@@ -105,7 +126,7 @@ def test_rebuild_matches_sort_oracle_randomized():
         # oracle: full sort by (-score, coord)
         order = sorted(range(coords.size), key=lambda i: (-scores[i], coords[i]))
         expect_keep = sorted(coords[i] for i in order[:budget]) if coords.size >= budget else sorted(coords)
-        rebuild_mask(coords, scores, sparsity, mask, d, "t")
+        trim_and_rebuild(coords, scores, sparsity, mask, d)
         got = support_coords(mask, d.slices["t"])
         np.testing.assert_array_equal(got, expect_keep)
 
@@ -114,17 +135,26 @@ def test_rebuild_removed_coordinate_loses_both():
     theta, mask, d = state(4, [0, 1], [1, 2], [0.5, 0.75], budget=2)
     coords = support_coords(mask, d.slices["t"])  # 0,1,2
     scores = np.array([5.0, 0.1, 4.0])  # coordinate 1 is weakest
-    pb, pd, _ = rebuild_mask(coords, scores, 0.5, mask, d, "t")  # keep 2
+    pb, pd, _ = trim_and_rebuild(coords, scores, 0.5, mask, d)  # keep 2
     assert pb == 1 and pd == 1
     np.testing.assert_array_equal(np.flatnonzero(mask.bits), [0])
     np.testing.assert_array_equal(d.slices["t"].indices, [2])
+
+
+def test_rebuild_zeroes_the_cached_base_where_it_clears_bits():
+    theta, mask, d = state(6, [0, 1, 2, 3], [1, 5], [0.5, 0.75], budget=2)
+    base = masked_base({"t": theta}, {"t": mask})["t"]
+    coords = support_coords(mask, d.slices["t"])  # 0,1,2,3,5
+    pb, pd, _ = trim_and_rebuild(coords, np.array([5.0, 0.1, 4.0, 0.2, 3.0]), 0.5, mask, d, base=base)
+    assert pb == 2 and pd == 1  # bits 1 and 3 cleared; entry 1 dropped
+    assert base.tobytes() == masked_base({"t": theta}, {"t": mask})["t"].tobytes()
 
 
 def test_rebuild_kept_delta_only_coordinate_stays_unmasked():
     theta, mask, d = state(4, [0], [3], [9.0], budget=1)
     coords = support_coords(mask, d.slices["t"])  # 0,3
     scores = np.array([1.0, 2.0])
-    rebuild_mask(coords, scores, 0.5, mask, d, "t")  # keep both
+    trim_and_rebuild(coords, scores, 0.5, mask, d)  # keep both
     assert not mask.bits.reshape(-1)[3]
     np.testing.assert_array_equal(d.slices["t"].indices, [3])
 
@@ -133,7 +163,7 @@ def test_rebuild_below_budget_is_noop_logged_at_debug(caplog):
     theta, mask, d = state(10, [0, 1], [], [])
     coords = support_coords(mask, d.slices["t"])
     with caplog.at_level("DEBUG", logger="sparsevolve.adaptation"):
-        pb, pd, trimmed = rebuild_mask(coords, np.ones(2), 0.6, mask, d, "t")
+        pb, pd, trimmed = trim_and_rebuild(coords, np.ones(2), 0.6, mask, d)
     assert not trimmed and pb == 0
     assert [r.levelname for r in caplog.records] == ["DEBUG"]  # normal after drops: no WARNING
     assert "below keep budget" in caplog.text
@@ -159,7 +189,7 @@ def test_rebuild_never_creates_support():
         if coords.size == 0:
             continue
         before = set(coords.tolist())
-        rebuild_mask(coords, rng.normal(size=coords.size) ** 2, 0.7, mask, d, "t")
+        trim_and_rebuild(coords, rng.normal(size=coords.size) ** 2, 0.7, mask, d)
         after = set(support_coords(mask, d.slices["t"]).tolist())
         assert after <= before
 
@@ -172,7 +202,7 @@ def test_grown_coordinates_survive_weak_base_pruned():
     window = {"t": np.array([[1.0, 1.0, 1.0, 1.0]])}
     scored = compute_sensitivity(window, {"t": theta}, {"t": mask}, d)
     coords, scores = scored["t"]
-    rebuild_mask(coords, scores, 0.5, mask, d, "t")  # keep 2 of 4
+    trim_and_rebuild(coords, scores, 0.5, mask, d)  # keep 2 of 4
     kept = support_coords(mask, d.slices["t"])
     np.testing.assert_array_equal(kept, [0, 3])  # reactivated 3 survives, weak base 1,2 pruned
     assert 3 in d.slices["t"].indices
@@ -184,7 +214,7 @@ def test_grown_coordinates_survive_weak_base_pruned():
 def test_repair_refills_under_budget_support():
     theta, mask, d = state(10, [0, 1], [5], [0.5], budget=4)
     window = {"t": np.arange(10, dtype=np.float64).reshape(1, 10)}
-    repaired = repair_support(window, {"t": mask}, d, None, 0.5)  # keep budget 5, support 3
+    repaired = repair_and_rebuild(window, {"t": mask}, d, None, 0.5)  # keep budget 5, support 3
     assert repaired == 2
     got = support_coords(mask, d.slices["t"])
     np.testing.assert_array_equal(got, [0, 1, 5, 8, 9])  # largest |window| outside support
@@ -194,7 +224,7 @@ def test_repair_swaps_when_entry_budget_full():
     # budget 2, both entries in use; one entry sits on a mask-covered coordinate
     theta, mask, d = state(8, [0, 1, 2], [1, 6], [1e-6, 2.0], budget=2)
     window = {"t": np.array([[0.0, 0.0, 0.0, 5.0, 4.0, 0.0, 0.0, 0.0]])}
-    repaired = repair_support(window, {"t": mask}, d, None, 0.25)  # keep budget 6, support 4
+    repaired = repair_and_rebuild(window, {"t": mask}, d, None, 0.25)  # keep budget 6, support 4
     # only the mask-covered entry may be sacrificed, so exactly one swap lands
     assert repaired == 1
     td = d.slices["t"]
@@ -207,7 +237,7 @@ def test_repair_swaps_when_entry_budget_full():
 def test_repair_swap_full_when_all_entries_covered():
     theta, mask, d = state(8, [0, 1, 2], [1, 2], [1e-6, 2.0], budget=2)
     window = {"t": np.array([[0.0, 0.0, 0.0, 5.0, 4.0, 0.0, 0.0, 0.0]])}
-    repaired = repair_support(window, {"t": mask}, d, None, 0.375)  # keep budget 5, support 3
+    repaired = repair_and_rebuild(window, {"t": mask}, d, None, 0.375)  # keep budget 5, support 3
     assert repaired == 2
     np.testing.assert_array_equal(support_coords(mask, d.slices["t"]), [0, 1, 2, 3, 4])
     assert len(d.slices["t"]) == 2
@@ -216,7 +246,7 @@ def test_repair_swap_full_when_all_entries_covered():
 def test_repair_noop_when_at_budget():
     theta, mask, d = state(4, [0, 1], [], [])
     window = {"t": np.ones((1, 4))}
-    assert repair_support(window, {"t": mask}, d, None, 0.5) == 0
+    assert repair_and_rebuild(window, {"t": mask}, d, None, 0.5) == 0
 
 
 def reference_repair(window, masks, delta, optim, sparsity, restrict_to_mask=False):
@@ -268,7 +298,7 @@ def test_repair_matches_full_sort_reference_randomized():
         restrict = bool(rng.integers(0, 2))
         window = {"t": rng.integers(-2, 3, size=(1, numel)).astype(np.float64)}
         runs = []
-        for repair in (repair_support, reference_repair):
+        for repair in (repair_and_rebuild, reference_repair):
             _, mask, d = state(numel, mask_coords, delta_coords, vals, budget=max(budget, 1))
             opt = DeltaOptimState(d)
             opt.m["t"] += np.arange(n_delta)

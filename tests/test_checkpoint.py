@@ -229,3 +229,18 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     ck.write_checkpoint(p, ck.state_records(tree, theta, masks, delta))
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".ckpt-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+def test_checkpoint_mode_is_the_mode_open_gives(tmp_path, umask):
+    # the checkpoint sits beside its .json and metrics files: same mode, same umask
+    _, tree, _, masks, theta, delta, _ = make_state()
+    old = os.umask(umask)
+    try:
+        p = str(tmp_path / "m.ckpt")
+        ck.write_checkpoint(p, ck.state_records(tree, theta, masks, delta))
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    assert os.stat(p).st_mode == os.stat(tmp_path / "plain").st_mode == 0o100666 & ~umask

@@ -7,6 +7,7 @@ from sparsevolve import autodiff as ad
 from sparsevolve.autodiff import Tape, Tensor, backward
 from sparsevolve.delta import (
     DeltaOptimState,
+    EditMap,
     SparseDelta,
     TensorDelta,
     adamw_step,
@@ -281,6 +282,45 @@ def test_thousand_random_ops_vs_set_oracle():
         assert td.values.shape == td.indices.shape == opt.m["t"].shape == opt.v["t"].shape
 
 
+def test_edit_map_regrown_coordinate_restarts_at_zero_and_others_carry():
+    d = make_delta([1, 4, 6, 9], [0.5, -1.0, 2.0, 3.0], budget=5)
+    opt = DeltaOptimState(d)
+    opt.m["t"][:] = [1.0, 2.0, 3.0, 4.0]
+    opt.v["t"][:] = [5.0, 6.0, 7.0, 8.0]
+    edits = EditMap("t", d.slices["t"].indices, 12)
+    edits.drop(np.array([4, 9]))
+    edits.grow(np.array([11, 4, 0]))  # 4 is dropped and regrown: value and moments restart
+    assert edits.count == 5
+    edits.rebuild(d, opt)
+    td = d.slices["t"]
+    np.testing.assert_array_equal(td.indices, [0, 1, 4, 6, 11])
+    np.testing.assert_array_equal(td.values, [0.0, 0.5, 0.0, 2.0, 0.0])
+    np.testing.assert_array_equal(opt.m["t"], [0.0, 1.0, 0.0, 3.0, 0.0])
+    np.testing.assert_array_equal(opt.v["t"], [0.0, 5.0, 0.0, 7.0, 0.0])
+    assert td.indices.dtype == np.int64 and td.values.dtype == np.float64
+
+
+def test_edit_map_refuses_bad_edits_and_leaves_itself_unchanged():
+    d = make_delta([3, 8], [1.0, 2.0])
+    edits = EditMap("t", d.slices["t"].indices, 10)
+    for op, coords, match in (
+        (edits.grow, [8], "already present"),
+        (edits.grow, [5, 5], "duplicate"),
+        (edits.drop, [4], "not present"),
+        (edits.drop, [3, 3], "duplicate"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            op(np.array(coords))
+        np.testing.assert_array_equal(np.flatnonzero(edits.live), [3, 8])
+        assert edits.count == 2 and not edits.reset.any() and not edits.edited
+    values = d.slices["t"].values
+    edits.rebuild(d)  # nothing edited: the arrays stay the same objects
+    assert d.slices["t"].values is values
+    for edit in (insert_entries, remove_entries):  # a negative coordinate would alias the end of the map
+        with pytest.raises(ValueError, match="negative"):
+            edit(d, "t", np.array([-1]))
+
+
 def reference_insert(td, m, v, new):
     """The four-``np.insert`` layout: zero value and moments at each new coordinate."""
     new = np.sort(new)
@@ -420,9 +460,9 @@ def test_materialize_and_gather(tiny_model):
 
 
 def test_materialize_from_the_cached_base_equals_the_reference_merge_through_a_run(tmp_path, monkeypatch):
-    # every merge of a real run (the initial one, one per step, one per event) against
-    # the one-formula reference on the current masks: a base left stale after an event
-    # whose adaptation cleared mask bits would keep pruned weights in the tree
+    # every merge of a real run (the initial one, then one per step, after the event on
+    # an event step) against the one-formula reference on the current masks: a base left
+    # stale after an event whose adaptation cleared mask bits would keep pruned weights
     from sparsevolve import train as train_mod
 
     seen = {"masks": None, "merges": 0, "pruned_base": 0}
@@ -449,7 +489,7 @@ def test_materialize_from_the_cached_base_equals_the_reference_merge_through_a_r
         every=5, drop_rate=0.3, sparsity=0.6, steps=30, eval_every=0, out_dir=str(tmp_path),
     )
     train_mod.train(cfg, on_event=on_event)
-    assert seen["merges"] == 1 + cfg.steps + cfg.steps // cfg.every
+    assert seen["merges"] == 1 + cfg.steps
     assert seen["pruned_base"] > 0  # adaptation cleared base bits, so a stale base would show
 
 

@@ -22,6 +22,13 @@ def make_delta(entries: dict[str, tuple], budgets=None, dtype=np.float64):
     return d
 
 
+def live(indices, numel):
+    """The live-entry bitmap ``select_grow`` reads: True at the delta's coordinates."""
+    out = np.zeros(numel, dtype=bool)
+    out[np.asarray(indices, dtype=np.int64)] = True
+    return out
+
+
 # --- quota schedule ---
 
 
@@ -135,7 +142,7 @@ def test_select_drop_count_exceeds_support():
 
 def test_select_grow_spec_instance():
     acc = np.array([9.0, 1.0, 5.0, 7.0])
-    grown, short = select_grow(acc, np.array([0]), None, 2)
+    grown, short = select_grow(acc, live([0], 4), None, 2)
     np.testing.assert_array_equal(grown, [2, 3])
     assert short == 0
 
@@ -143,17 +150,17 @@ def test_select_grow_spec_instance():
 def test_select_grow_structured_forces_mask():
     acc = np.array([9.0, 1.0, 5.0, 7.0])
     bits = np.array([False, True, False, False])
-    grown, short = select_grow(acc, np.array([], dtype=np.int64), bits, 1, restrict_to_mask=True)
+    grown, short = select_grow(acc, live([], 4), bits, 1, restrict_to_mask=True)
     np.testing.assert_array_equal(grown, [1])
 
 
 def test_select_grow_all_zero_ties_lowest_indices():
-    grown, _ = select_grow(np.zeros(6), np.array([], dtype=np.int64), None, 2)
+    grown, _ = select_grow(np.zeros(6), live([], 6), None, 2)
     np.testing.assert_array_equal(grown, [0, 1])
 
 
 def test_select_grow_shortfall():
-    grown, short = select_grow(np.ones(3), np.array([0, 1]), None, 3)
+    grown, short = select_grow(np.ones(3), live([0, 1], 3), None, 3)
     np.testing.assert_array_equal(grown, [2])
     assert short == 2
 
@@ -191,7 +198,7 @@ def test_selection_matches_brute_force_randomized():
         bits = rng.random(numel) < 0.5
         restrict = bool(rng.integers(0, 2))
         want = brute_force_grow(acc, idx, bits, count, restrict)
-        got, short = select_grow(acc, idx, bits, count, restrict)
+        got, short = select_grow(acc, live(idx, numel), bits, count, restrict)
         np.testing.assert_array_equal(got, want)
         assert short == count - len(want)
 
@@ -276,7 +283,7 @@ def test_evolve_matches_sequential_reference():
     quota = drop_quota(10, sched, 16)
     dropped = select_drop(d2.slices["a"], quota)
     remove_entries(d2, "a", dropped)
-    grown, _ = select_grow(grads, d2.slices["a"].indices, bits, quota)
+    grown, _ = select_grow(grads, live(d2.slices["a"].indices, numel), bits, quota)
     insert_entries(d2, "a", grown)
 
     np.testing.assert_array_equal(d1.slices["a"].indices, d2.slices["a"].indices)

@@ -411,15 +411,25 @@ def test_threaded_backward_pass_bitwise_equals_single_worker(monkeypatch, method
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_bench_tracer_counts_one_merge_step_and_gather_per_step(tmp_path):
+def test_bench_tracer_counts_one_merge_step_and_gather_per_step(tmp_path, monkeypatch):
     # bench/tracing.py times the step through these names; work moved off them
     # would vanish from its per-layer table without failing anything else
     import importlib.util
+
+    from sparsevolve.delta import EditMap
 
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracing.py")
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    rebuilds: dict[str, int] = {}
+    real_rebuild = EditMap.rebuild
+
+    def counted_rebuild(self, delta, optim=None):
+        rebuilds[self.name] = rebuilds.get(self.name, 0) + 1
+        real_rebuild(self, delta, optim)
+
+    monkeypatch.setattr(EditMap, "rebuild", counted_rebuild)
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
@@ -430,5 +440,36 @@ def test_bench_tracer_counts_one_merge_step_and_gather_per_step(tmp_path):
     calls = {n: c["calls"] for n, c in tracing.summarize(tracer.names, tracer.arrays())["spans"].items()}
     events = cfg.steps // cfg.every
     assert calls["delta.adamw_step"] == calls["delta.gather_grads"] == cfg.steps
-    assert calls["delta.materialize"] == 1 + cfg.steps + events
+    assert calls["delta.materialize"] == 1 + cfg.steps  # an event step merges once, after the event
     assert calls["evolution.evolve"] == calls["adaptation.adaptation_step"] == events
+    # each tensor's entries are rebuilt once per phase at most (evolve, then adaptation),
+    # never once per edit: per-edit merges (insert_entries/remove_entries) stay off the event path
+    assert rebuilds and max(rebuilds.values()) <= 2 * events
+    assert calls["delta.insert_entries"] == calls["delta.remove_entries"] == 0
+
+
+@pytest.mark.parametrize("grad_accum", [1, 2])
+def test_accumulated_gradients_are_the_tree_gradients_at_grad_accum_1(tmp_path, monkeypatch, grad_accum):
+    # x / 1 is exact, so dividing at grad_accum 1 only costs a dense copy per tensor per step
+    trees, steps = [], []
+    real_build, real_accumulate = train_mod.build_transformer, train_mod.GradAccumulator.accumulate
+
+    def build(*args, **kwargs):
+        tree, forward = real_build(*args, **kwargs)
+        trees.append(tree)
+        return tree, forward
+
+    def accumulate(self, grads):
+        for name, t in trees[-1].named_prunable():
+            if grad_accum == 1:
+                assert grads[name] is t.grad
+            else:
+                assert grads[name].tobytes() == (t.grad / grad_accum).tobytes()
+        steps.append(len(grads))
+        real_accumulate(self, grads)
+
+    monkeypatch.setattr(train_mod, "build_transformer", build)
+    monkeypatch.setattr(train_mod.GradAccumulator, "accumulate", accumulate)
+    cfg = cfg_for(tmp_path, steps=3, every=5, eval_every=0, grad_accum=grad_accum)
+    train(cfg)
+    assert steps == [len(trees[-1].prunable_names())] * cfg.steps
