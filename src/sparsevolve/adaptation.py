@@ -1,22 +1,24 @@
 """Restore the merged model to the target sparsity after growth densifies it.
 
-The merged support (mask union delta coordinates) is ranked by sensitivity,
-|accumulated gradient * weight value|, and trimmed to the per-tensor budget
+The merged support (mask union delta coordinates) is ranked by one scorer,
+``compute_sensitivity``, and trimmed to the per-tensor budget
 round((1 - sparsity) * numel). Removed coordinates lose both their mask bit
 and any delta entry. Adaptation never creates support; when drops have left a
 tensor under budget, a separate repair stage refills it through the growth
 ranking so the merged model sits exactly on budget after every event.
 
-The weight value feeding the sensitivity product is the retained dense base
-weight by default; the merged value is available behind a flag, as is a plain
-|merged weight| magnitude criterion.
+The default score is sensitivity, |accumulated gradient * weight value|, with
+the retained dense base weight as the value; the merged value is available
+behind a flag, as is a plain |merged weight| magnitude criterion. Merged
+values come from the training loop's cached masked base plus the delta, so an
+event never recomputes the base.
 
 One adaptation step is one edit phase. The support is read once per tensor,
 for scoring; after that the trim, the repair, its sacrifice and the refill
 edit a dense ``delta.EditMap`` per tensor and read the support as
 ``mask.bits | live``. One rebuild per tensor writes the entries back at the
-end. The trim also zeroes the caller's cached masked base at every coordinate
-whose mask bit it clears, so the base never needs recomputing.
+end. The trim also zeroes the cached masked base at every coordinate whose
+mask bit it clears, so the base never needs recomputing.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import DeltaOptimState, EditMap, SparseDelta, effective_weights, masked_base, merged_support, top_k
+from .delta import DeltaOptimState, EditMap, SparseDelta, effective_weights, merged_support, top_k
 from .delta import insert_entries, remove_entries  # noqa: F401  unused here; only bench/tracing.py patches them
 from .pruning import Mask
 
@@ -53,44 +55,35 @@ def compute_sensitivity(
     theta_dense: dict[str, np.ndarray],
     masks: dict[str, Mask],
     delta: SparseDelta,
+    base: dict[str, np.ndarray],
+    criterion: str = CRITERION_SENSITIVITY,
     source: str = SOURCE_PRETRAINED,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-tensor (support coordinates, |g * w|) over the merged support.
+    """Per-tensor (support coordinates, scores) over the merged support; the one adaptation scorer.
 
-    ``source`` selects the weight value in the product: the retained dense
-    base value, or the merged effective value.
+    The sensitivity criterion scores |g * w|, where ``source`` selects ``w``:
+    the retained dense base value, or the merged effective value. The
+    magnitude criterion scores |merged value|, the classic dynamic-sparse
+    criterion. Merged values are ``base``, the masked base of ``theta_dense``
+    under ``masks``, plus the delta.
     """
+    if criterion not in (CRITERION_SENSITIVITY, CRITERION_MAGNITUDE):
+        raise ValueError(f"compute_sensitivity: unknown criterion {criterion!r}")
     if source not in (SOURCE_PRETRAINED, SOURCE_MERGED):
         raise ValueError(f"compute_sensitivity: unknown source {source!r}")
-    base = masked_base(theta_dense, masks) if source == SOURCE_MERGED else None
+    merged = criterion == CRITERION_MAGNITUDE or source == SOURCE_MERGED
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name, td in delta.slices.items():
         coords = support_coords(masks[name], td)
         if coords.size == 0:
             raise ValueError(f"compute_sensitivity: empty support for {name}")
-        g = window[name].reshape(-1)[coords]
-        if base is None:
-            w = theta_dense[name].reshape(-1)[coords]
+        if merged:
+            w = effective_weights(base[name], td).reshape(-1)[coords].astype(np.float64)
         else:
-            w = effective_weights(base[name], td).reshape(-1)[coords]
-        out[name] = (coords, np.abs(g * w.astype(np.float64)))
-    return out
-
-
-def magnitude_scores(
-    theta_dense: dict[str, np.ndarray],
-    masks: dict[str, Mask],
-    delta: SparseDelta,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """|merged weight| over the support; the classic dynamic-sparse criterion."""
-    base = masked_base(theta_dense, masks)
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name, td in delta.slices.items():
-        coords = support_coords(masks[name], td)
-        if coords.size == 0:
-            raise ValueError(f"magnitude_scores: empty support for {name}")
-        w = effective_weights(base[name], td).reshape(-1)[coords]
-        out[name] = (coords, np.abs(w.astype(np.float64)))
+            w = theta_dense[name].reshape(-1)[coords].astype(np.float64)
+        if criterion == CRITERION_SENSITIVITY:
+            w = window[name].reshape(-1)[coords] * w
+        out[name] = (coords, np.abs(w))
     return out
 
 
@@ -100,34 +93,31 @@ def rebuild_mask(
     sparsity: float,
     mask: Mask,
     edits: EditMap,
-    base: np.ndarray | None = None,
-) -> tuple[int, int, bool]:
+    base: np.ndarray,
+) -> tuple[int, int]:
     """Trim the support of one tensor to its keep budget by score rank.
 
     Keeps the highest-scoring coordinates (ties to lower index). Every removed
     coordinate loses its mask bit and any delta entry (dropped on ``edits``),
-    and is zeroed in ``base``, the tensor's cached masked base, when one is
-    given; kept delta-only coordinates stay mask=0 with their entries intact. Returns
-    (pruned_base, pruned_delta, trimmed). A support already at or below budget
-    is left untouched.
+    and is zeroed in ``base``, the tensor's cached masked base; kept
+    delta-only coordinates stay mask=0 with their entries intact. Returns
+    (pruned_base, pruned_delta). A support already at or below budget is left
+    untouched.
     """
     budget = keep_budget(mask.bits.size, sparsity)
-    if coords.size < budget:
-        log.debug("rebuild_mask: %s support %d below keep budget %d (already at/below target)", edits.name, coords.size, budget)
-        return 0, 0, False
-    if coords.size == budget:
-        return 0, 0, False
+    if coords.size <= budget:
+        log.debug("rebuild_mask: %s support %d at or below keep budget %d", edits.name, coords.size, budget)
+        return 0, 0
     kept = np.zeros(coords.size, dtype=bool)
     kept[top_k(scores, budget)] = True
     removed = coords[~kept]
     flat_bits = mask.bits.reshape(-1)
     pruned_base = int(flat_bits[removed].sum())
     flat_bits[removed] = False
-    if base is not None:
-        base.reshape(-1)[removed] = 0
+    base.reshape(-1)[removed] = 0
     dead = removed[edits.live[removed]]
     edits.drop(dead)
-    return pruned_base, int(dead.size), True
+    return pruned_base, int(dead.size)
 
 
 def repair_support(
@@ -207,31 +197,27 @@ def adaptation_step(
     delta: SparseDelta,
     optim: DeltaOptimState | None,
     sparsity: float,
+    base: dict[str, np.ndarray],
     step: int = 0,
     criterion: str = CRITERION_SENSITIVITY,
     source: str = SOURCE_PRETRAINED,
     restrict_to_mask: bool = False,
-    base: dict[str, np.ndarray] | None = None,
 ) -> AdaptationReport:
     """Trim every tensor's merged support back to the sparsity budget.
 
     Runs immediately after a drop/grow cycle on the same accumulated-gradient
     window, then repairs any under-budget tensors, then rebuilds each edited
-    tensor's entries once. ``base``, a ``masked_base`` of ``theta_dense``
-    under ``masks``, is kept in step with the trimmed masks in place.
+    tensor's entries once. ``base``, the ``pruning.masked_base`` of
+    ``theta_dense`` under ``masks``, feeds the merged values of the scores and
+    is kept in step with the trimmed masks in place.
     """
-    if criterion == CRITERION_SENSITIVITY:
-        scored = compute_sensitivity(window, theta_dense, masks, delta, source=source)
-    elif criterion == CRITERION_MAGNITUDE:
-        scored = magnitude_scores(theta_dense, masks, delta)
-    else:
-        raise ValueError(f"adaptation_step: unknown criterion {criterion!r}")
+    scored = compute_sensitivity(window, theta_dense, masks, delta, base, criterion=criterion, source=source)
     edits = {name: EditMap(name, td.indices, masks[name].bits.size) for name, td in delta.slices.items()}
     report = AdaptationReport(step=step)
     for name in delta.slices:
         coords, scores = scored[name]
         report.under_budget += int(coords.size < keep_budget(masks[name].bits.size, sparsity))
-        pb, pd, _ = rebuild_mask(coords, scores, sparsity, masks[name], edits[name], None if base is None else base[name])
+        pb, pd = rebuild_mask(coords, scores, sparsity, masks[name], edits[name], base[name])
         report.pruned_base += pb
         report.pruned_delta += pd
     report.repaired = repair_support(window, masks, delta, edits, sparsity, restrict_to_mask)

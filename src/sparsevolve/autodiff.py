@@ -359,7 +359,10 @@ def _mean_last(x: np.ndarray, n: int) -> np.ndarray:
     return s
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = a.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
@@ -368,7 +371,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = _mean_last(x, d)
     xc = x - mu
     var = _mean_last(xc * xc, d)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
     gd = gain.data

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import SparseDelta, TensorDelta, effective_weights, masked_base, merged_support
+from .delta import SparseDelta, TensorDelta, effective_weights, merged_support
 from .models import ParamTree
-from .pruning import Mask
+from .pruning import Mask, masked_base
 
 MAGIC = b"SEFT"
 VERSION = 1
@@ -196,11 +196,22 @@ class LoadedState:
 
 
 def load_state(path: str) -> LoadedState:
-    state = LoadedState()
-    for rec in read_checkpoint(path):
+    """The checkpoint's records by kind and name.
+
+    Raises CheckpointError when a mask or delta record has no dense record of
+    its name, or a shape other than that record's.
+    """
+    records = read_checkpoint(path)
+    state = LoadedState(dense={rec.name: rec.dense for rec in records if rec.kind == KIND_DENSE})
+    for rec in records:
         if rec.kind == KIND_DENSE:
-            state.dense[rec.name] = rec.dense
-        elif rec.kind == KIND_MASK:
+            continue
+        dense = state.dense.get(rec.name)
+        if dense is None or dense.shape != rec.shape:
+            kind = "mask" if rec.kind == KIND_MASK else "delta"
+            have = "none" if dense is None else f"shape {dense.shape}"
+            raise CheckpointError(f"{kind} record of {rec.name} has shape {rec.shape}; its dense record: {have}")
+        if rec.kind == KIND_MASK:
             state.masks[rec.name] = rec.bits
         else:
             state.deltas[rec.name] = TensorDelta(rec.indices, rec.values)

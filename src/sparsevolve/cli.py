@@ -18,9 +18,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import make_task
-from .delta import SparseDelta, masked_base, materialize
+from .delta import SparseDelta, materialize
 from .models import ModelConfig, build_transformer
-from .pruning import Mask
+from .pruning import Mask, masked_base
 from .train import NumericFailure, TrainConfig, evaluate_ppl, train
 
 EXIT_OK = 0

@@ -15,6 +15,7 @@ import numpy as np
 
 IGNORE = -1
 VAL_FRACTION = 0.05
+VAL_BATCHES = 16  # held-out batches of the synthetic tasks
 MOD_P = 97
 MOD_EQ_TOKEN = 254
 
@@ -30,7 +31,7 @@ def load_corpus(path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8)
 
 
-def split_windows(tokens: np.ndarray, context: int, seed: int, val_fraction: float = VAL_FRACTION):
+def split_windows(tokens: np.ndarray, context: int, seed: int):
     """Chop the stream into non-overlapping (context+1)-token windows, split 95/5.
 
     The window order is shuffled with a fixed seed before the split, so the
@@ -42,7 +43,7 @@ def split_windows(tokens: np.ndarray, context: int, seed: int, val_fraction: flo
         raise ValueError(f"corpus too small: {tokens.size} tokens for context {context}")
     windows = tokens[: n * width].reshape(n, width)
     order = np.random.default_rng(seed).permutation(n)
-    n_val = max(1, int(np.floor(n * val_fraction + 0.5)))
+    n_val = max(1, int(np.floor(n * VAL_FRACTION + 0.5)))
     val = windows[order[:n_val]]
     train = windows[order[n_val:]]
     return train, val
@@ -100,11 +101,11 @@ def copy_batch(rng: np.random.Generator, batch_size: int, context: int, vocab: i
     return x, y
 
 
-def copy_task(context: int, batch_size: int, seed: int, vocab: int = 16, val_batches: int = 16) -> Task:
+def copy_task(context: int, batch_size: int, seed: int, vocab: int = 16) -> Task:
     if context % 2 != 0 or context < 4:
         raise ValueError(f"copy task needs an even context >= 4, got {context}")
     val_rng = np.random.default_rng(seed + 1_000_003)
-    val_b = [copy_batch(val_rng, batch_size, context, vocab) for _ in range(val_batches)]
+    val_b = [copy_batch(val_rng, batch_size, context, vocab) for _ in range(VAL_BATCHES)]
 
     def train_batch(rng: np.random.Generator):
         return copy_batch(rng, batch_size, context, vocab)
@@ -116,19 +117,19 @@ def copy_task(context: int, batch_size: int, seed: int, vocab: int = 16, val_bat
     return Task("copy", vocab, context, train_batch, val_b, calib)
 
 
-def modadd_batch(rng: np.random.Generator, batch_size: int, p: int = MOD_P) -> tuple[np.ndarray, np.ndarray]:
-    """Sequences [a, b, '='] with the answer (a+b) mod p at the final position."""
-    a = rng.integers(0, p, size=batch_size)
-    b = rng.integers(0, p, size=batch_size)
+def modadd_batch(rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences [a, b, '='] with the answer (a+b) mod MOD_P at the final position."""
+    a = rng.integers(0, MOD_P, size=batch_size)
+    b = rng.integers(0, MOD_P, size=batch_size)
     x = np.stack([a, b, np.full(batch_size, MOD_EQ_TOKEN)], axis=1)
     y = np.full_like(x, IGNORE)
-    y[:, 2] = (a + b) % p
+    y[:, 2] = (a + b) % MOD_P
     return x, y
 
 
-def modadd_task(batch_size: int, seed: int, val_batches: int = 16) -> Task:
+def modadd_task(batch_size: int, seed: int) -> Task:
     val_rng = np.random.default_rng(seed + 2_000_003)
-    val_b = [modadd_batch(val_rng, batch_size) for _ in range(val_batches)]
+    val_b = [modadd_batch(val_rng, batch_size) for _ in range(VAL_BATCHES)]
 
     def train_batch(rng: np.random.Generator):
         return modadd_batch(rng, batch_size)

@@ -26,12 +26,16 @@ One AdamW update then runs over the whole buffers and writes the new values
 into them in place, so an array kept across a step sees the step; copy it to
 keep a snapshot.
 
-Merging. ``masked_base`` zeroes the pruned coordinates of the dense base,
-``np.where(bits, theta, 0)``, and ``effective_weights`` copies such a base and
-adds the delta at its coordinates: the one merge of base and delta. A masked
-base is a cache of the mask bits. In training the only code that clears bits,
-the adaptation trim (``adaptation.rebuild_mask``), zeroes the cached base at
-the coordinates it clears, so the base is computed once, after pruning.
+Merging. ``effective_weights`` copies a masked base (``pruning.masked_base``:
+the dense base with its pruned coordinates zeroed) and adds the delta at its
+coordinates: the one merge of base and delta. A masked base is a cache of the
+mask bits. In training the only code that clears bits, the adaptation trim
+(``adaptation.rebuild_mask``), zeroes the cached base at the coordinates it
+clears, so the base is computed once, after pruning.
+
+Optimizer. ``adamw_update`` is the one AdamW formula, shared with the dense
+adapters; the betas, epsilon and weight decay every run uses are the module
+constants below.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ import numpy as np
 
 from .models import ParamTree
 from .pruning import Mask
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+WEIGHT_DECAY = 0.0
 
 
 class TensorDelta:
@@ -168,20 +177,6 @@ def init_support(
     return delta
 
 
-def masked_base(theta_dense: dict[str, np.ndarray], masks: dict[str, Mask]) -> dict[str, np.ndarray]:
-    """Per masked tensor, the dense base with its pruned coordinates zeroed.
-
-    A cache of the mask bits: whatever clears bits must zero them here too.
-    """
-    base = {}
-    for name, mask in masks.items():
-        theta = theta_dense[name]
-        if mask.bits.shape != theta.shape:
-            raise ValueError(f"masked_base: mask shape {mask.bits.shape} != theta shape {theta.shape} for {name}")
-        base[name] = np.where(mask.bits, theta, np.zeros((), dtype=theta.dtype))
-    return base
-
-
 def effective_weights(base: np.ndarray, td: TensorDelta | None) -> np.ndarray:
     """Merged weights as a new array: a masked base plus the sparse delta at its coordinates."""
     w = base.copy()
@@ -239,22 +234,13 @@ def _packed(delta: SparseDelta, optim: DeltaOptimState) -> tuple[np.ndarray, np.
     return values, m, v
 
 
-def adamw_step(
-    delta: SparseDelta,
-    optim: DeltaOptimState,
-    grads: dict[str, np.ndarray],
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> None:
+def adamw_step(delta: SparseDelta, optim: DeltaOptimState, grads: dict[str, np.ndarray], lr: float) -> None:
     """One AdamW step over the delta values, as one update of the flat buffers; indices never change here."""
     _check_aligned(delta, grads)
     optim.step += 1
     values, m, v = _packed(delta, optim)
     g = np.concatenate([grads[name] for name in delta.slices], dtype=np.float64)
-    adamw_update(values, g, m, v, optim.step, lr, beta1, beta2, eps, weight_decay, out=values)
+    adamw_update(values, g, m, v, optim.step, lr, BETA1, BETA2, EPS, WEIGHT_DECAY, out=values)
 
 
 def adamw_update(

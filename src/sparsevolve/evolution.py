@@ -29,8 +29,7 @@ class EvolutionSchedule:
     drop_rate: float = 0.2
     total_steps: int = 1000
     every: int = 10
-    structured: bool = False  # growth restricted to mask support (N:M safety)
-    constrained: bool = False  # same restriction as an ablation in unstructured mode
+    restrict_growth: bool = False  # growth stays in the mask support: N:M safety, or the constrained ablation
     cosine: bool = True
 
     def __post_init__(self):
@@ -38,10 +37,6 @@ class EvolutionSchedule:
             raise ValueError(f"drop_rate must be in (0, 1), got {self.drop_rate}")
         if self.every < 1 or self.total_steps < 1:
             raise ValueError(f"invalid schedule: every={self.every}, total_steps={self.total_steps}")
-
-    @property
-    def restrict_growth(self) -> bool:
-        return self.structured or self.constrained
 
 
 def drop_quota(step: int, schedule: EvolutionSchedule, budget: int) -> int:
@@ -60,13 +55,14 @@ def drop_quota(step: int, schedule: EvolutionSchedule, budget: int) -> int:
 
 
 class GradAccumulator:
-    """Dense sum of gradients per tensor since the last topology update."""
+    """Dense sum of gradients per tensor since the last topology update.
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype=np.float64):
-        self._shapes = dict(shapes)
-        self._dtype = dtype
-        self.sums: dict[str, np.ndarray] = {n: np.zeros(s, dtype=dtype) for n, s in shapes.items()}
-        self.steps = 0
+    The sums are the window an event reads; the training loop zeroes them in
+    place once the event is over.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        self.sums: dict[str, np.ndarray] = {n: np.zeros(s, dtype=np.float64) for n, s in shapes.items()}
 
     def accumulate(self, grads: dict[str, np.ndarray]) -> None:
         for name, g in grads.items():
@@ -74,14 +70,6 @@ class GradAccumulator:
             if g.shape != acc.shape:
                 raise ValueError(f"accumulate: grad shape {g.shape} != {acc.shape} for {name}")
             acc += g
-        self.steps += 1
-
-    def take(self) -> dict[str, np.ndarray]:
-        """Return the current window and reset to zero."""
-        window = self.sums
-        self.sums = {n: np.zeros(s, dtype=self._dtype) for n, s in self._shapes.items()}
-        self.steps = 0
-        return window
 
 
 def select_drop(td: TensorDelta, count: int) -> np.ndarray:
@@ -166,22 +154,21 @@ def apportion(total: int, sizes: list[int], caps: list[int]) -> list[int]:
 def evolve(
     delta: SparseDelta,
     optim: DeltaOptimState | None,
-    acc: GradAccumulator,
+    window: dict[str, np.ndarray],
     masks: dict[str, Mask],
     schedule: EvolutionSchedule,
     step: int,
-) -> tuple[EvolutionReport, dict[str, np.ndarray]]:
-    """One drop-then-grow cycle; resets the accumulator.
+) -> EvolutionReport:
+    """One drop-then-grow cycle, growing from ``window``, the accumulated gradients.
 
     The global quota is apportioned per tensor proportionally to its current
     support. Dropped coordinates remain eligible for an immediate regrow, with
     zero value and zero moments. Each tensor's entries are rebuilt once. The
-    accumulated-gradient window is returned so the sparsity-adaptation stage
-    can reuse it after the reset.
+    window is only read: the sparsity-adaptation stage reuses it, and the
+    caller resets it after the event.
     """
     if step % schedule.every != 0:
         raise ValueError(f"evolve: step {step} is not a multiple of every={schedule.every}")
-    window = acc.take()
     quota = min(drop_quota(step, schedule, delta.budget_total), delta.support_size())
     names = list(delta.slices)
     sizes = [len(delta.slices[n]) for n in names]
@@ -202,4 +189,4 @@ def evolve(
         report.reactivations += react
         report.shortfall += shortfall
         report.per_tensor[name] = (int(dropped.size), int(grown.size))
-    return report, window
+    return report

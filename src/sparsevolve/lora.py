@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .models import INIT_STD, ParamTree
-from .pruning import UNSTRUCTURED, Mask, prune_model
+from .pruning import UNSTRUCTURED, Mask, masked_base, prune_model
 from .pruning import collect_activation_norms  # noqa: F401  unused here; only bench/tracing.py patches it
 
 
@@ -27,16 +27,15 @@ class LoraAdapter:
     a: Tensor  # [rank, in_dim]
     b: Tensor  # [out_dim, rank], zero-initialized so the adapter starts silent
     rank: int
-    scale: float = 1.0
 
     def param_count(self) -> int:
         return self.a.data.size + self.b.data.size
 
     def delta_matrix(self) -> np.ndarray:
-        return (self.b.data @ self.a.data) * self.scale
+        return self.b.data @ self.a.data
 
 
-def build_adapters(tree: ParamTree, rank: int, seed: int = 0, scale: float = 1.0, dtype=np.float32) -> dict[str, LoraAdapter]:
+def build_adapters(tree: ParamTree, rank: int, seed: int = 0, dtype=np.float32) -> dict[str, LoraAdapter]:
     """One adapter per prunable matrix; A ~ normal(0, 0.02), B = 0."""
     if rank < 1:
         raise ValueError(f"build_adapters: rank must be >= 1, got {rank}")
@@ -46,7 +45,7 @@ def build_adapters(tree: ParamTree, rank: int, seed: int = 0, scale: float = 1.0
         out_dim, in_dim = tensor.data.shape
         a = Tensor(rng.normal(0.0, INIT_STD, size=(rank, in_dim)).astype(dtype), requires_grad=True)
         b = Tensor(np.zeros((out_dim, rank), dtype=dtype), requires_grad=True)
-        adapters[name] = LoraAdapter(name=name, a=a, b=b, rank=rank, scale=scale)
+        adapters[name] = LoraAdapter(name=name, a=a, b=b, rank=rank)
     return adapters
 
 
@@ -72,7 +71,7 @@ def merge_and_reprune(
     model (a fresh calibration pass for the activation-aware scorer) and masks
     it. Returns ``prune_model``'s (new masks, merged dense weights).
     """
+    base = masked_base({name: tensor.data for name, tensor in tree.named_prunable()}, masks)
     for name, tensor in tree.named_prunable():
-        sparse_w = np.where(masks[name].bits, tensor.data, np.zeros((), dtype=tensor.data.dtype))
-        tensor.data = sparse_w + adapters[name].delta_matrix().astype(tensor.data.dtype)
+        tensor.data = base[name] + adapters[name].delta_matrix().astype(tensor.data.dtype)
     return prune_model(tree, forward, calib_batches, sparsity, scorer=scorer, pattern=pattern, n=n, m=m)

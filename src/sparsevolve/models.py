@@ -94,11 +94,10 @@ class ParamTree:
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor | None, adapter=None) -> Tensor:
-    """``x @ w.T + b``, plus the adapter's ``(x @ A.T) @ B.T * scale`` when given."""
+    """``x @ w.T + b``, plus the adapter's ``(x @ A.T) @ B.T`` when given."""
     y = ad.linear(x, w, b)
     if adapter is not None:
-        up = ad.linear(ad.linear(x, adapter.a), adapter.b)
-        y = ad.add(y, ad.scale(up, adapter.scale))
+        y = ad.add(y, ad.linear(ad.linear(x, adapter.a), adapter.b))
     return y
 
 

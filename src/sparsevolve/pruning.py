@@ -6,6 +6,10 @@ a calibration set. Masks are unstructured (per-output-row budgets) or N:M
 structured (at most N of every M consecutive input-dim weights survive).
 ``prune_model`` is the one path from scores to masks, retained dense weights
 and the masked live tree; the LoRA* re-prune goes through it too.
+
+``masked_base`` is the one place that zeroes pruned coordinates,
+``np.where(bits, theta, 0)``: applying a mask, the LoRA* fold, the training
+loop's cached base, a checkpoint merge and an eval all take it from here.
 """
 
 from __future__ import annotations
@@ -45,6 +49,20 @@ class Mask:
         counts = self.bits.reshape(rows, cols // m, m).sum(axis=2)
         bad = np.argwhere(counts > n)
         return [(int(r), int(g)) for r, g in bad]
+
+
+def masked_base(theta_dense: dict[str, np.ndarray], masks: dict[str, Mask]) -> dict[str, np.ndarray]:
+    """Per masked tensor, the dense base with its pruned coordinates zeroed.
+
+    A cache of the mask bits: whatever clears bits must zero them here too.
+    """
+    base = {}
+    for name, mask in masks.items():
+        theta = theta_dense[name]
+        if mask.bits.shape != theta.shape:
+            raise ValueError(f"masked_base: mask shape {mask.bits.shape} != theta shape {theta.shape} for {name}")
+        base[name] = np.where(mask.bits, theta, np.zeros((), dtype=theta.dtype))
+    return base
 
 
 @dataclass
@@ -157,11 +175,9 @@ def apply_mask(tree: ParamTree, masks: dict[str, Mask]) -> dict[str, np.ndarray]
     for name, tensor in tree.named_prunable():
         if name not in masks:
             raise KeyError(f"apply_mask: missing mask for prunable tensor {name}")
-        mask = masks[name]
-        if mask.bits.shape != tensor.data.shape:
-            raise ValueError(f"apply_mask: mask shape {mask.bits.shape} != weight shape {tensor.data.shape} for {name}")
         retained[name] = tensor.data.copy()
-        tensor.data = np.where(mask.bits, tensor.data, np.zeros((), dtype=tensor.data.dtype))
+    for name, w in masked_base(retained, {name: masks[name] for name in retained}).items():
+        tree[name].data = w
     return retained
 
 

@@ -39,6 +39,10 @@ from .adaptation import (
 from .autodiff import Tensor
 from .data import IGNORE, Task, make_task
 from .delta import (
+    BETA1,
+    BETA2,
+    EPS,
+    WEIGHT_DECAY,
     DeltaOptimState,
     SparseDelta,
     adamw_step,
@@ -46,13 +50,12 @@ from .delta import (
     allocate_budget,
     gather_grads,
     init_support,
-    masked_base,
     materialize,
 )
 from .evolution import EvolutionReport, EvolutionSchedule, GradAccumulator, drop_quota, evolve
 from .lora import build_adapters, merge_and_reprune, trainable_count
 from .models import ModelConfig, ParamTree, build_transformer
-from .pruning import Mask, apply_mask, prune_model
+from .pruning import Mask, apply_mask, masked_base, prune_model
 
 log = logging.getLogger(__name__)
 
@@ -245,10 +248,9 @@ class MetricsWriter:
 class DenseAdamW:
     """AdamW over whole tensors (used for the low-rank adapter baselines)."""
 
-    def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps, self.wd = beta1, beta2, eps, weight_decay
         self.m = [np.zeros(p.data.shape, dtype=np.float64) for p in params]
         self.v = [np.zeros(p.data.shape, dtype=np.float64) for p in params]
         self.step_count = 0
@@ -259,7 +261,7 @@ class DenseAdamW:
             if p.grad is None:
                 continue
             g = p.grad.astype(np.float64) * grad_scale
-            p.data = adamw_update(p.data, g, m, v, self.step_count, self.lr, self.beta1, self.beta2, self.eps, self.wd)
+            p.data = adamw_update(p.data, g, m, v, self.step_count, self.lr, BETA1, BETA2, EPS, WEIGHT_DECAY)
 
 
 def _eval_batch(forward, tree: ParamTree, vocab: int, adapters, batch) -> tuple[float, int]:
@@ -431,8 +433,7 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
         drop_rate=cfg.drop_rate,
         total_steps=cfg.steps,
         every=cfg.every,
-        structured=cfg.pattern == "nm",
-        constrained=cfg.method == "seft-constrained",
+        restrict_growth=cfg.pattern == "nm" or cfg.method == "seft-constrained",
         cosine=cfg.cosine,
     )
     budgets = allocate_budget(tree, cfg.rank)
@@ -460,7 +461,7 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
 
         event = step % cfg.every == 0
         if event:
-            report, window = evolve(delta, optim, acc, masks, schedule, step)
+            report = evolve(delta, optim, acc.sums, masks, schedule, step)
             result.reactivations += report.reactivations
             result.grown += report.grown
             metrics.row(
@@ -475,17 +476,17 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
             arep = None
             if cfg.adapt:
                 arep = adaptation_step(
-                    window,
+                    acc.sums,
                     theta,
                     masks,
                     delta,
                     optim,
                     cfg.sparsity,
+                    base,
                     step=step,
                     criterion=cfg.adapt_criterion,
                     source=cfg.adapt_source,
                     restrict_to_mask=schedule.restrict_growth,
-                    base=base,
                 )
                 row = {
                     "step": step,
@@ -496,6 +497,8 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
                 }
                 row.update({f"sparsity:{n}": s for n, s in arep.per_tensor_sparsity.items()})
                 metrics.row("adapt", **row)
+            for sums in acc.sums.values():  # the next window starts from zero, in place
+                sums.fill(0.0)
         materialize(tree, base, delta)  # once per step, after the event on an event step
         if event and on_event is not None:
             on_event(EventState(step, masks, delta, theta, report, arep))

@@ -5,14 +5,13 @@ from sparsevolve.adaptation import (
     adaptation_step,
     compute_sensitivity,
     keep_budget,
-    magnitude_scores,
     merged_support_sparsity,
     rebuild_mask,
     repair_support,
     support_coords,
 )
-from sparsevolve.delta import DeltaOptimState, EditMap, SparseDelta, TensorDelta, insert_entries, masked_base, remove_entries
-from sparsevolve.pruning import Mask
+from sparsevolve.delta import DeltaOptimState, EditMap, SparseDelta, TensorDelta, insert_entries, remove_entries
+from sparsevolve.pruning import Mask, masked_base
 
 
 def state(numel, mask_coords, delta_coords, delta_vals, theta=None, budget=None, shape=None):
@@ -30,11 +29,27 @@ def edit_maps(d, masks):
     return {n: EditMap(n, td.indices, masks[n].bits.size) for n, td in d.slices.items()}
 
 
-def trim_and_rebuild(coords, scores, sparsity, mask, d, optim=None, base=None):
-    """``rebuild_mask`` on a fresh edit map, rebuilt straight after, as one phase."""
+def base_of(theta, mask):
+    return masked_base({"t": theta}, {"t": mask})
+
+
+def scores_of(window, theta, mask, d, **kw):
+    return compute_sensitivity(window, {"t": theta}, {"t": mask}, d, base_of(theta, mask), **kw)
+
+
+def adapt(window, theta, mask, d, optim, sparsity, **kw):
+    return adaptation_step(window, {"t": theta}, {"t": mask}, d, optim, sparsity, base_of(theta, mask), **kw)
+
+
+def trim_and_rebuild(coords, scores, sparsity, mask, d, theta, base=None):
+    """``rebuild_mask`` on a fresh edit map, rebuilt straight after, as one phase.
+
+    ``base`` is the tensor's cached masked base; a fresh one of ``theta`` by default.
+    """
     edits = edit_maps(d, {"t": mask})["t"]
+    base = base_of(theta, mask)["t"] if base is None else base
     out = rebuild_mask(coords, scores, sparsity, mask, edits, base)
-    edits.rebuild(d, optim)
+    edits.rebuild(d)
     return out
 
 
@@ -50,7 +65,7 @@ def repair_and_rebuild(window, masks, d, optim, sparsity, restrict_to_mask=False
 def test_sensitivity_hand_product():
     theta, mask, d = state(3, [0, 1, 2], [], [], theta=np.array([[2.0, -1.0, 0.5]]))
     window = {"t": np.array([[0.1, 1.0, -0.2]])}
-    scored = compute_sensitivity(window, {"t": theta}, {"t": mask}, d)
+    scored = scores_of(window, theta, mask, d)
     coords, s = scored["t"]
     np.testing.assert_array_equal(coords, [0, 1, 2])
     np.testing.assert_allclose(s, [0.2, 1.0, 0.1])
@@ -58,13 +73,13 @@ def test_sensitivity_hand_product():
 
 def test_sensitivity_zero_gradient_zero_score():
     theta, mask, d = state(2, [0, 1], [], [], theta=np.array([[5.0, 5.0]]))
-    scored = compute_sensitivity({"t": np.array([[0.0, 3.0]])}, {"t": theta}, {"t": mask}, d)
+    scored = scores_of({"t": np.array([[0.0, 3.0]])}, theta, mask, d)
     assert scored["t"][1][0] == 0.0
 
 
 def test_sensitivity_zero_weight_zero_score():
     theta, mask, d = state(2, [0, 1], [], [], theta=np.array([[0.0, 1.0]]))
-    scored = compute_sensitivity({"t": np.array([[9.0, 9.0]])}, {"t": theta}, {"t": mask}, d)
+    scored = scores_of({"t": np.array([[9.0, 9.0]])}, theta, mask, d)
     assert scored["t"][1][0] == 0.0
 
 
@@ -72,8 +87,8 @@ def test_sensitivity_merged_source_uses_effective_value():
     # masked coordinate with a delta entry: merged value is the delta value alone
     theta, mask, d = state(2, [1], [0], [0.5], theta=np.array([[4.0, 1.0]]))
     window = {"t": np.array([[1.0, 1.0]])}
-    merged = compute_sensitivity(window, {"t": theta}, {"t": mask}, d, source="merged")
-    pretrained = compute_sensitivity(window, {"t": theta}, {"t": mask}, d, source="pretrained")
+    merged = scores_of(window, theta, mask, d, source="merged")
+    pretrained = scores_of(window, theta, mask, d, source="pretrained")
     np.testing.assert_allclose(merged["t"][1], [0.5, 1.0])
     np.testing.assert_allclose(pretrained["t"][1], [4.0, 1.0])
 
@@ -81,12 +96,12 @@ def test_sensitivity_merged_source_uses_effective_value():
 def test_sensitivity_empty_support_errors():
     theta, mask, d = state(2, [], [], [])
     with pytest.raises(ValueError, match="empty support"):
-        compute_sensitivity({"t": np.zeros((1, 2))}, {"t": theta}, {"t": mask}, d)
+        scores_of({"t": np.zeros((1, 2))}, theta, mask, d)
 
 
 def test_magnitude_scores_use_merged_weight():
     theta, mask, d = state(3, [0, 1], [2], [0.25], theta=np.array([[3.0, -2.0, 9.0]]))
-    scored = magnitude_scores({"t": theta}, {"t": mask}, d)
+    scored = scores_of({"t": np.zeros((1, 3))}, theta, mask, d, criterion="magnitude")
     np.testing.assert_allclose(scored["t"][1], [3.0, 2.0, 0.25])
 
 
@@ -102,10 +117,10 @@ def test_rebuild_keeps_top_four_of_ten():
     theta, mask, d = state(10, range(10), [], [])
     scores = np.array([9.0, 1.0, 8.0, 2.0, 7.0, 3.0, 6.0, 4.0, 5.0, 0.0])
     coords = support_coords(mask, d.slices["t"])
-    pb, pd, trimmed = trim_and_rebuild(coords, scores, 0.6, mask, d)
+    pb, pd = trim_and_rebuild(coords, scores, 0.6, mask, d, theta)
     assert keep_budget(10, 0.6) == 4
     np.testing.assert_array_equal(np.flatnonzero(mask.bits), [0, 2, 4, 6])
-    assert pb == 6 and pd == 0 and trimmed
+    assert pb == 6 and pd == 0
 
 
 def test_rebuild_matches_sort_oracle_randomized():
@@ -126,7 +141,7 @@ def test_rebuild_matches_sort_oracle_randomized():
         # oracle: full sort by (-score, coord)
         order = sorted(range(coords.size), key=lambda i: (-scores[i], coords[i]))
         expect_keep = sorted(coords[i] for i in order[:budget]) if coords.size >= budget else sorted(coords)
-        trim_and_rebuild(coords, scores, sparsity, mask, d)
+        trim_and_rebuild(coords, scores, sparsity, mask, d, theta)
         got = support_coords(mask, d.slices["t"])
         np.testing.assert_array_equal(got, expect_keep)
 
@@ -135,7 +150,7 @@ def test_rebuild_removed_coordinate_loses_both():
     theta, mask, d = state(4, [0, 1], [1, 2], [0.5, 0.75], budget=2)
     coords = support_coords(mask, d.slices["t"])  # 0,1,2
     scores = np.array([5.0, 0.1, 4.0])  # coordinate 1 is weakest
-    pb, pd, _ = trim_and_rebuild(coords, scores, 0.5, mask, d)  # keep 2
+    pb, pd = trim_and_rebuild(coords, scores, 0.5, mask, d, theta)  # keep 2
     assert pb == 1 and pd == 1
     np.testing.assert_array_equal(np.flatnonzero(mask.bits), [0])
     np.testing.assert_array_equal(d.slices["t"].indices, [2])
@@ -143,18 +158,18 @@ def test_rebuild_removed_coordinate_loses_both():
 
 def test_rebuild_zeroes_the_cached_base_where_it_clears_bits():
     theta, mask, d = state(6, [0, 1, 2, 3], [1, 5], [0.5, 0.75], budget=2)
-    base = masked_base({"t": theta}, {"t": mask})["t"]
+    base = base_of(theta, mask)["t"]
     coords = support_coords(mask, d.slices["t"])  # 0,1,2,3,5
-    pb, pd, _ = trim_and_rebuild(coords, np.array([5.0, 0.1, 4.0, 0.2, 3.0]), 0.5, mask, d, base=base)
+    pb, pd = trim_and_rebuild(coords, np.array([5.0, 0.1, 4.0, 0.2, 3.0]), 0.5, mask, d, theta, base=base)
     assert pb == 2 and pd == 1  # bits 1 and 3 cleared; entry 1 dropped
-    assert base.tobytes() == masked_base({"t": theta}, {"t": mask})["t"].tobytes()
+    assert base.tobytes() == base_of(theta, mask)["t"].tobytes()
 
 
 def test_rebuild_kept_delta_only_coordinate_stays_unmasked():
     theta, mask, d = state(4, [0], [3], [9.0], budget=1)
     coords = support_coords(mask, d.slices["t"])  # 0,3
     scores = np.array([1.0, 2.0])
-    trim_and_rebuild(coords, scores, 0.5, mask, d)  # keep both
+    trim_and_rebuild(coords, scores, 0.5, mask, d, theta)  # keep both
     assert not mask.bits.reshape(-1)[3]
     np.testing.assert_array_equal(d.slices["t"].indices, [3])
 
@@ -163,8 +178,8 @@ def test_rebuild_below_budget_is_noop_logged_at_debug(caplog):
     theta, mask, d = state(10, [0, 1], [], [])
     coords = support_coords(mask, d.slices["t"])
     with caplog.at_level("DEBUG", logger="sparsevolve.adaptation"):
-        pb, pd, trimmed = trim_and_rebuild(coords, np.ones(2), 0.6, mask, d)
-    assert not trimmed and pb == 0
+        pb, pd = trim_and_rebuild(coords, np.ones(2), 0.6, mask, d, theta)
+    assert pb == pd == 0
     assert [r.levelname for r in caplog.records] == ["DEBUG"]  # normal after drops: no WARNING
     assert "below keep budget" in caplog.text
     np.testing.assert_array_equal(np.flatnonzero(mask.bits), [0, 1])
@@ -173,10 +188,10 @@ def test_rebuild_below_budget_is_noop_logged_at_debug(caplog):
 def test_adaptation_counts_under_budget_tensors():
     theta, mask, d = state(10, [0, 1], [5], [0.5], budget=4)  # support 3, keep budget 5
     window = {"t": np.arange(10, dtype=np.float64).reshape(1, 10)}
-    rep = adaptation_step(window, {"t": theta}, {"t": mask}, d, None, 0.5, step=10)
+    rep = adapt(window, theta, mask, d, None, 0.5, step=10)
     assert rep.under_budget == 1 and rep.repaired == 2
     theta, mask, d = state(10, range(5), [6], [0.5], budget=1)  # support 6: trimmed, not under
-    assert adaptation_step(window, {"t": theta}, {"t": mask}, d, None, 0.5).under_budget == 0
+    assert adapt(window, theta, mask, d, None, 0.5).under_budget == 0
 
 
 def test_rebuild_never_creates_support():
@@ -189,7 +204,7 @@ def test_rebuild_never_creates_support():
         if coords.size == 0:
             continue
         before = set(coords.tolist())
-        trim_and_rebuild(coords, rng.normal(size=coords.size) ** 2, 0.7, mask, d)
+        trim_and_rebuild(coords, rng.normal(size=coords.size) ** 2, 0.7, mask, d, theta)
         after = set(support_coords(mask, d.slices["t"]).tolist())
         assert after <= before
 
@@ -200,9 +215,9 @@ def test_grown_coordinates_survive_weak_base_pruned():
     mask_coords = [0, 1, 2]
     theta_d, mask, d = state(4, mask_coords, [3], [0.5], theta=theta, budget=1)
     window = {"t": np.array([[1.0, 1.0, 1.0, 1.0]])}
-    scored = compute_sensitivity(window, {"t": theta}, {"t": mask}, d)
+    scored = scores_of(window, theta, mask, d)
     coords, scores = scored["t"]
-    trim_and_rebuild(coords, scores, 0.5, mask, d)  # keep 2 of 4
+    trim_and_rebuild(coords, scores, 0.5, mask, d, theta)  # keep 2 of 4
     kept = support_coords(mask, d.slices["t"])
     np.testing.assert_array_equal(kept, [0, 3])  # reactivated 3 survives, weak base 1,2 pruned
     assert 3 in d.slices["t"].indices
@@ -317,7 +332,7 @@ def test_repair_matches_full_sort_reference_randomized():
 def test_adaptation_noop_when_support_at_budget():
     theta, mask, d = state(10, range(5), [0], [0.5], budget=1)
     window = {"t": np.ones((1, 10))}
-    rep = adaptation_step(window, {"t": theta}, {"t": mask}, d, None, 0.5, step=10)
+    rep = adapt(window, theta, mask, d, None, 0.5, step=10)
     assert rep.pruned_base == 0 and rep.pruned_delta == 0 and rep.repaired == 0
     assert rep.merged_sparsity == pytest.approx(0.5)
 
@@ -326,7 +341,7 @@ def test_adaptation_removes_exactly_m_grown():
     # support grew by 3 masked coordinates beyond the keep budget of 5
     theta, mask, d = state(10, range(5), [6, 7, 8], [0.1, 0.2, 0.3], budget=3)
     window = {"t": np.ones((1, 10))}
-    rep = adaptation_step(window, {"t": theta}, {"t": mask}, d, None, 0.5, step=10)
+    rep = adapt(window, theta, mask, d, None, 0.5, step=10)
     assert rep.pruned_base + rep.pruned_delta == 3
     assert support_coords(mask, d.slices["t"]).size == 5
     assert rep.merged_sparsity == pytest.approx(0.5)
@@ -337,7 +352,7 @@ def test_adaptation_magnitude_criterion_flag():
     theta = np.array([[0.1, 5.0, 0.2, 4.0]])
     theta_d, mask, d = state(4, [0, 1, 2, 3], [], [], theta=theta)
     window = {"t": np.array([[100.0, 0.0, 100.0, 0.0]])}
-    rep = adaptation_step(window, {"t": theta}, {"t": mask}, d, None, 0.5, criterion="magnitude")
+    rep = adapt(window, theta, mask, d, None, 0.5, criterion="magnitude")
     np.testing.assert_array_equal(np.flatnonzero(mask.bits), [1, 3])
     assert rep.merged_sparsity == pytest.approx(0.5)
 
@@ -351,7 +366,7 @@ def test_adaptation_per_tensor_budget_and_optimizer_alignment():
     opt = DeltaOptimState(d)
     opt.m["t"] += 1.0
     window = {"t": rng.normal(size=(1, numel))}
-    rep = adaptation_step(window, {"t": theta}, {"t": mask}, d, opt, 0.6, step=10)
+    rep = adapt(window, theta, mask, d, opt, 0.6, step=10)
     td = d.slices["t"]
     assert opt.m["t"].shape == td.indices.shape == opt.v["t"].shape
     assert support_coords(mask, td).size == keep_budget(numel, 0.6)

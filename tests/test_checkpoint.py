@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sparsevolve import checkpoint as ck
-from sparsevolve.delta import TensorDelta, allocate_budget, init_support, masked_base, materialize
+from sparsevolve.delta import TensorDelta, allocate_budget, init_support, materialize
 from sparsevolve.models import ModelConfig, build_transformer
-from sparsevolve.pruning import prune_model
+from sparsevolve.pruning import masked_base, prune_model
 
 
 def make_state(seed=0, sparsity=0.5):

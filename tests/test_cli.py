@@ -1,6 +1,8 @@
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from sparsevolve import checkpoint as ck
@@ -158,6 +160,45 @@ def test_eval_rejects_a_checkpoint_whose_shapes_disagree_with_its_meta(tmp_path,
     meta_path.write_text(json.dumps(meta))
     assert run(["eval", str(tmp_path / "shp.ckpt")]) == EXIT_USAGE
     assert "shape mismatch" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def finetuned(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ft")
+    assert run(["finetune", *BASE, "--out-dir", str(out), "--run-name", "ft"]) == EXIT_OK
+    return out / "ft.ckpt"
+
+
+def plant(records, case):
+    """Break the first mask or delta record against the dense record of its name."""
+    rec = next(r for r in records if r.kind == (ck.KIND_MASK if case.startswith("mask") else ck.KIND_DELTA))
+    rows, cols = rec.shape
+    if case == "mask-reshaped":  # the same bits under another shape
+        rec.shape = (rows // 2, cols * 2)
+        rec.bits = rec.bits.reshape(rec.shape)
+    elif case == "delta-enlarged":  # an index past the dense tensor's end, in range of the record's own shape
+        rec.shape = (rows * 2, cols * 2)
+        rec.indices = np.append(rec.indices, rows * cols + 8)
+        rec.values = np.append(rec.values, np.float32(0.5))
+    else:  # no dense record of its name
+        rec.name = "ghost.w"
+
+
+@pytest.mark.parametrize("case", ["mask-reshaped", "delta-enlarged", "mask-orphan", "delta-orphan"])
+def test_checkpoint_records_whose_shapes_disagree_are_refused(finetuned, tmp_path, capsys, case):
+    ckpt = str(tmp_path / "bad.ckpt")
+    records = ck.read_checkpoint(str(finetuned))
+    plant(records, case)
+    ck.write_checkpoint(ckpt, records)
+    shutil.copy(str(finetuned) + ".json", ckpt + ".json")
+    capsys.readouterr()
+    assert run(["inspect", ckpt]) == EXIT_INVARIANT
+    assert "corrupt checkpoint" in capsys.readouterr().err
+    for argv in (["merge", ckpt, "--out", str(tmp_path / "merged.ckpt")], ["eval", ckpt]):
+        assert run(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+        assert "Traceback" not in err
 
 
 def test_ablation_grids_are_the_parser_choices_and_valid_configs(capsys):

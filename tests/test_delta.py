@@ -17,14 +17,13 @@ from sparsevolve.delta import (
     gather_grads,
     init_support,
     insert_entries,
-    masked_base,
     materialize,
     merged_support,
     remove_entries,
     top_k,
 )
 from sparsevolve.models import ModelConfig, build_mlp, build_transformer
-from sparsevolve.pruning import Mask
+from sparsevolve.pruning import Mask, masked_base
 
 
 def make_delta(indices, values, budget=None, dtype=np.float64):
@@ -173,12 +172,11 @@ def test_adamw_matches_scalar_reference():
 
 def test_adamw_weight_decay_matches_reference():
     g_seq = [0.5, 0.5]
-    d = make_delta([0], [1.0])
-    opt = DeltaOptimState(d)
-    for g in g_seq:
-        adamw_step(d, opt, {"t": np.array([g])}, lr=0.1, weight_decay=0.01)
+    w, m, v = np.array([1.0]), np.zeros(1), np.zeros(1)
+    for t, g in enumerate(g_seq, start=1):
+        w = adamw_update(w, np.array([g]), m, v, t, 0.1, 0.9, 0.999, 1e-8, 0.01)
     expect = scalar_adamw_reference(1.0, g_seq, lr=0.1, wd=0.01)
-    assert d.slices["t"].values[0] == pytest.approx(expect, abs=1e-12)
+    assert w[0] == pytest.approx(expect, abs=1e-12)
 
 
 def test_sparse_and_dense_adamw_agree_bitwise_with_the_vectorized_reference():
@@ -189,20 +187,20 @@ def test_sparse_and_dense_adamw_agree_bitwise_with_the_vectorized_reference():
     d = make_delta(np.arange(6), w0, dtype=np.float32)
     opt = DeltaOptimState(d)
     p = Tensor(w0.copy())
-    dense = DenseAdamW([p], lr=1e-2, weight_decay=0.01)
+    dense = DenseAdamW([p], lr=1e-2)
     w, m, v = w0.copy(), np.zeros(6), np.zeros(6)
     for t in range(1, 6):
         g = rng.normal(size=6).astype(np.float32)
-        adamw_step(d, opt, {"t": g}, lr=1e-2, weight_decay=0.01)
+        adamw_step(d, opt, {"t": g}, lr=1e-2)
         p.grad = g
         dense.step()
-        # float64 moments, bias corrections once per step, decoupled decay, cast back
+        # float64 moments, bias corrections once per step, no weight decay, cast back
         g64 = g.astype(np.float64)
         m = 0.9 * m + (1.0 - 0.9) * g64
         v = 0.999 * v + (1.0 - 0.999) * g64 * g64
         update = (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
         w64 = w.astype(np.float64)
-        w = (w64 - 1e-2 * (update + 0.01 * w64)).astype(np.float32)
+        w = (w64 - 1e-2 * update).astype(np.float32)
         assert d.slices["t"].values.tobytes() == w.tobytes()
         assert p.data.tobytes() == w.tobytes()
 
@@ -493,13 +491,11 @@ def test_materialize_from_the_cached_base_equals_the_reference_merge_through_a_r
     assert seen["pruned_base"] > 0  # adaptation cleared base bits, so a stale base would show
 
 
-def per_tensor_adamw(delta, optim, grads, lr, weight_decay):
-    """The reference step: one ``adamw_update`` per tensor, each slice its own array."""
+def per_tensor_adamw(delta, optim, grads, lr):
+    """The reference step: one ``adamw_update`` per tensor, each slice its own array, no weight decay."""
     optim.step += 1
     for name, td in delta.slices.items():
-        td.values = adamw_update(
-            td.values, grads[name], optim.m[name], optim.v[name], optim.step, lr, 0.9, 0.999, 1e-8, weight_decay
-        )
+        td.values = adamw_update(td.values, grads[name], optim.m[name], optim.v[name], optim.step, lr, 0.9, 0.999, 1e-8, 0.0)
 
 
 def test_flat_adamw_equals_a_per_tensor_loop_across_events():
@@ -517,8 +513,8 @@ def test_flat_adamw_equals_a_per_tensor_loop_across_events():
     flat_opt, ref_opt = DeltaOptimState(flat), DeltaOptimState(ref)
     for step in range(1, 31):
         grads = {n: rng.normal(size=len(td)).astype(np.float32) for n, td in flat.slices.items()}
-        adamw_step(flat, flat_opt, grads, lr=1e-2, weight_decay=0.01)
-        per_tensor_adamw(ref, ref_opt, grads, lr=1e-2, weight_decay=0.01)
+        adamw_step(flat, flat_opt, grads, lr=1e-2)
+        per_tensor_adamw(ref, ref_opt, grads, lr=1e-2)
         assert all(td.values.base is flat_opt.flat[1] for td in flat.slices.values())  # views of one buffer
         for n in numels:
             for got, want in ((flat.slices[n].values, ref.slices[n].values), (flat_opt.m[n], ref_opt.m[n]), (flat_opt.v[n], ref_opt.v[n])):

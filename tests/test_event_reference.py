@@ -4,14 +4,18 @@
 and rebuild them once per phase. The reference below is the earlier
 formulation: every drop and grow is its own sorted merge of the index, value
 and moment arrays (``searchsorted`` plus four copies), and every stage
-recomputes the support. Both run the same events on copies of random states,
-and every array, mask bit and report field must match bit for bit.
+recomputes the support. It scores with its own formulas over an
+``np.union1d`` support, not with the scorer under test. Both run the same
+events on copies of random states, and every array, mask bit and report field
+must match bit for bit.
 """
 
 import copy
 import dataclasses
+import sys
 
 import numpy as np
+import pytest
 
 from sparsevolve import train as train_mod
 from sparsevolve.adaptation import (
@@ -21,11 +25,9 @@ from sparsevolve.adaptation import (
     SOURCE_PRETRAINED,
     AdaptationReport,
     adaptation_step,
-    compute_sensitivity,
     keep_budget,
-    magnitude_scores,
 )
-from sparsevolve.delta import DeltaOptimState, SparseDelta, TensorDelta, masked_base, top_k
+from sparsevolve.delta import DeltaOptimState, SparseDelta, TensorDelta, top_k
 from sparsevolve.evolution import (
     EvolutionReport,
     EvolutionSchedule,
@@ -35,7 +37,7 @@ from sparsevolve.evolution import (
     evolve,
     select_drop,
 )
-from sparsevolve.pruning import Mask
+from sparsevolve.pruning import Mask, masked_base
 
 # --- the reference: one sorted merge per edit ---
 
@@ -71,8 +73,7 @@ def ref_remove(delta, name, drop, optim, seen):
         optim.m[name], optim.v[name] = optim.m[name][keep], optim.v[name][keep]
 
 
-def ref_evolve(delta, optim, acc, masks, schedule, step, seen):
-    window = acc.take()
+def ref_evolve(delta, optim, window, masks, schedule, step, seen):
     quota = min(drop_quota(step, schedule, delta.budget_total), delta.support_size())
     names = list(delta.slices)
     sizes = [len(delta.slices[n]) for n in names]
@@ -93,18 +94,28 @@ def ref_evolve(delta, optim, acc, masks, schedule, step, seen):
         report.reactivations += int((~bits[grown]).sum())
         report.shortfall += share - grown.size
         report.per_tensor[name] = (int(dropped.size), int(grown.size))
-    return report, window
+    return report
 
 
 def ref_support(mask, td):
     return np.union1d(np.flatnonzero(mask.bits), td.indices)
 
 
-def ref_adaptation_step(window, theta, masks, delta, optim, sparsity, step, criterion, source, restrict, seen):
+def ref_scores(g, theta, mask, td, criterion, source):
+    """(support, scores): |g*theta|, |g*merged| or |merged|, merged being theta where the mask holds, plus the delta."""
+    coords = ref_support(mask, td)
+    w = theta.reshape(-1)[coords]
+    if criterion == CRITERION_MAGNITUDE or source == SOURCE_MERGED:
+        w[~mask.bits.reshape(-1)[coords]] = 0
+        w[np.searchsorted(coords, td.indices)] += td.values
+    w = w.astype(np.float64)
     if criterion == CRITERION_SENSITIVITY:
-        scored = compute_sensitivity(window, theta, masks, delta, source=source)
-    else:
-        scored = magnitude_scores(theta, masks, delta)
+        w = g.reshape(-1)[coords] * w
+    return coords, np.abs(w)
+
+
+def ref_adaptation_step(window, theta, masks, delta, optim, sparsity, step, criterion, source, restrict, seen):
+    scored = {n: ref_scores(window[n], theta[n], masks[n], td, criterion, source) for n, td in delta.slices.items()}
     report = AdaptationReport(step=step)
     for name, td in delta.slices.items():
         coords, scores = scored[name]
@@ -243,7 +254,7 @@ def test_event_equals_the_per_edit_reference_bitwise():
     seen = {"events": 0, "regrown": 0, "sacrificed": 0, "shortfall": 0, "pruned_base": 0, "repaired": 0}
     for case, (restrict, criterion, source) in enumerate(CASES):
         rng = np.random.default_rng(case)
-        schedule = EvolutionSchedule(drop_rate=0.45, total_steps=200, every=5, structured=restrict)
+        schedule = EvolutionSchedule(drop_rate=0.45, total_steps=200, every=5, restrict_growth=restrict)
         regrown = seen["regrown"]
         for trial in range(10):
             sparsity = float(rng.uniform(0.3, 0.7))
@@ -254,13 +265,12 @@ def test_event_equals_the_per_edit_reference_bitwise():
                 where = (case, trial, step)
                 window = random_window(rng, delta)
                 seen["dropped"] = {}
-                acc, ref_acc = GradAccumulator(SHAPES), GradAccumulator(SHAPES)
+                acc = GradAccumulator(SHAPES)
                 acc.accumulate(window)
-                ref_acc.accumulate(window)
-                er, w = evolve(delta, optim, acc, masks, schedule, step)
-                ar = adaptation_step(w, theta, masks, delta, optim, sparsity, step, criterion, source, restrict, base=base)
-                ref_er, ref_w = ref_evolve(*ref[:2], ref_acc, ref[2], schedule, step, seen)
-                ref_ar = ref_adaptation_step(ref_w, theta, ref[2], *ref[:2], sparsity, step, criterion, source, restrict, seen)
+                er = evolve(delta, optim, acc.sums, masks, schedule, step)
+                ar = adaptation_step(acc.sums, theta, masks, delta, optim, sparsity, base, step, criterion, source, restrict)
+                ref_er = ref_evolve(*ref[:2], window, ref[2], schedule, step, seen)
+                ref_ar = ref_adaptation_step(window, theta, ref[2], *ref[:2], sparsity, step, criterion, source, restrict, seen)
                 assert report_fields(er) == report_fields(ref_er), where
                 assert report_fields(ar) == report_fields(ref_ar), where
                 assert_same((delta, optim, masks), ref, where)
@@ -307,3 +317,33 @@ def test_cached_base_equals_a_fresh_masked_base_after_every_event(tmp_path, monk
     train_mod.train(cfg, on_event=on_event)
     assert seen["checked"] == 1 + cfg.steps  # every event step's merge comes after its event
     assert seen["pruned_base"] > 0
+
+
+@pytest.mark.parametrize(
+    "criterion,source",
+    [(CRITERION_SENSITIVITY, SOURCE_PRETRAINED), (CRITERION_SENSITIVITY, SOURCE_MERGED), (CRITERION_MAGNITUDE, SOURCE_PRETRAINED)],
+)
+def test_a_fine_tune_computes_the_masked_base_once(tmp_path, monkeypatch, criterion, source):
+    # after pruning, the loop computes the base once; every event scores from that cache
+    calls = []
+    real_prune = train_mod._prune
+
+    def prune(*args):
+        out = real_prune(*args)
+        calls.clear()  # applying the pruning masks is the pruning's own call
+        return out
+
+    for name, mod in list(sys.modules.items()):  # every binding of the name in the package
+        if name.startswith("sparsevolve.") and hasattr(mod, "masked_base"):
+            real = mod.masked_base
+            monkeypatch.setattr(mod, "masked_base", lambda *args, real=real: calls.append(1) or real(*args))
+    monkeypatch.setattr(train_mod, "_prune", prune)
+    cfg = train_mod.TrainConfig(
+        task="copy", vocab=32, dim=64, context=12, ff_mult=2, batch_size=2, grad_accum=1, rank=8, every=5,
+        drop_rate=0.3, sparsity=0.6, steps=20, eval_every=0, adapt_criterion=criterion, adapt_source=source,
+        out_dir=str(tmp_path),
+    )
+    events = []
+    train_mod.train(cfg, on_event=events.append)
+    assert len(events) == 4
+    assert len(calls) == 1

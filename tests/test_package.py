@@ -208,3 +208,75 @@ def test_dead_code_allowlist_names_live_definitions():
     for path in _python_files(os.path.join("src", "sparsevolve")):
         names.update(name for name, _, _ in _definitions(ast.parse(open(path, encoding="utf-8").read())))
     assert set(UNREFERENCED_ALLOWED) <= names
+
+
+# Default-valued parameters of module-level functions under src/sparsevolve/
+# that no call in src/ or bench/ passes, each with the reason it stays. A key
+# is "function" (every such parameter of it) or "function.parameter".
+UNSET_DEFAULTS_ALLOWED = {
+    "grad_check": "the finite-difference checker's step, tolerance, sample count and generator; criterion 4 and the autodiff tests set them",
+    "build_mlp": "the MLP model the README documents; the pruning and autodiff tests choose its seed and dtype",
+    "init_support.dtype": "float64 deltas for the finite-difference and bitwise-threading tests; training runs float32",
+    "build_adapters.dtype": "float64 adapters for the bitwise-threading tests; training runs float32",
+    "insert_entries.optim": "a one-edit wrapper that only bench/tracing.py's patch table names; the reference tests pass moments",
+    "remove_entries.optim": "a one-edit wrapper that only bench/tracing.py's patch table names; the reference tests pass moments",
+}
+
+
+def _name(node: ast.expr) -> str | None:
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _calls(tree: ast.Module) -> list[tuple[str | None, int, list, list]]:
+    """(called name, line, positional args, keywords) of every call; ``partial(f, ...)`` counts as a call of ``f``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name, args = _name(node.func), node.args
+            if name == "partial" and args:
+                name, args = _name(args[0]), args[1:]
+            out.append((name, node.lineno, args, node.keywords))
+    return out
+
+
+def _defaulted(node: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position or None for keyword-only) of every parameter with a default."""
+    a = node.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    out = [(p, i) for i, p in enumerate(positional) if i >= len(positional) - len(a.defaults)]
+    return out + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def test_every_default_is_passed_somewhere_or_has_a_reason():
+    calls = []
+    for path in _python_files("src", "bench"):
+        calls.extend((path, *call) for call in _calls(ast.parse(open(path, encoding="utf-8").read())))
+    unset = []
+    for path in _python_files(os.path.join("src", "sparsevolve")):
+        for node in ast.parse(open(path, encoding="utf-8").read()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name in UNSET_DEFAULTS_ALLOWED:
+                continue
+            for param, pos in _defaulted(node):
+                passed = any(
+                    name == node.name
+                    and not (call_path == path and node.lineno <= line <= node.end_lineno)
+                    and (
+                        any(k.arg in (param, None) for k in keywords)  # by keyword, or through **kwargs
+                        or any(isinstance(a, ast.Starred) for a in args)
+                        or (pos is not None and len(args) > pos)
+                    )
+                    for call_path, name, line, args, keywords in calls
+                )
+                if not passed and f"{node.name}.{param}" not in UNSET_DEFAULTS_ALLOWED:
+                    unset.append(f"{os.path.relpath(path, REPO)}:{node.lineno} {node.name}({param}=)")
+    assert not unset, "defaults no call in src/ or bench/ sets (make them constants, or allowlist with a reason): " + ", ".join(unset)
+
+
+def test_unset_defaults_allowlist_names_live_parameters():
+    params = set()
+    for path in _python_files(os.path.join("src", "sparsevolve")):
+        for node in ast.parse(open(path, encoding="utf-8").read()).body:
+            if isinstance(node, ast.FunctionDef):
+                params.add(node.name)
+                params.update(f"{node.name}.{p}" for p, _ in _defaulted(node))
+    assert set(UNSET_DEFAULTS_ALLOWED) <= params

@@ -13,10 +13,10 @@ import sparsevolve
 from sparsevolve import autodiff as ad
 from sparsevolve import parallel
 from sparsevolve.data import IGNORE
-from sparsevolve.delta import allocate_budget, init_support, masked_base, materialize
+from sparsevolve.delta import allocate_budget, init_support, materialize
 from sparsevolve.lora import build_adapters
 from sparsevolve.models import ModelConfig, build_transformer
-from sparsevolve.pruning import collect_activation_norms, prune_model
+from sparsevolve.pruning import collect_activation_norms, masked_base, prune_model
 from sparsevolve.train import evaluate_ppl
 
 CFG = ModelConfig(vocab=32, dim=64, heads=4, blocks=2, ff_mult=2, context=16)
