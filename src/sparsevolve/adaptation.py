@@ -10,15 +10,16 @@ ranking so the merged model sits exactly on budget after every event.
 The default score is sensitivity, |accumulated gradient * weight value|, with
 the retained dense base weight as the value; the merged value is available
 behind a flag, as is a plain |merged weight| magnitude criterion. Merged
-values come from the training loop's cached masked base plus the delta, so an
-event never recomputes the base.
+values come from the training loop's cached masked base plus the event's
+current entries, so an event never recomputes the base.
 
-One adaptation step is one edit phase. The support is read once per tensor,
-for scoring; after that the trim, the repair, its sacrifice and the refill
-edit a dense ``delta.EditMap`` per tensor and read the support as
-``mask.bits | live``. One rebuild per tensor writes the entries back at the
-end. The trim also zeroes the cached masked base at every coordinate whose
-mask bit it clears, so the base never needs recomputing.
+Adaptation continues the topology event on the ``delta.EditMap`` per tensor
+that evolution edited. The scorer, the trim, the repair, its sacrifice and
+the refill read the support as ``mask.bits | live`` and the current entries
+through ``EditMap.gather``, and edit the same maps; the caller rebuilds each
+tensor's entries once when the event ends. The trim also zeroes the cached
+masked base at every coordinate whose mask bit it clears, so the base never
+needs recomputing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import DeltaOptimState, EditMap, SparseDelta, effective_weights, merged_support, top_k
+from .delta import EditMap, SparseDelta, TensorDelta, effective_weights, merged_support, top_k
 from .delta import insert_entries, remove_entries  # noqa: F401  unused here; only bench/tracing.py patches them
 from .pruning import Mask
 
@@ -45,9 +46,9 @@ def keep_budget(numel: int, sparsity: float) -> int:
     return int(np.floor((1.0 - sparsity) * numel + 0.5))
 
 
-def support_coords(mask: Mask, td) -> np.ndarray:
-    """Sorted union of mask coordinates and delta coordinates."""
-    return merged_support(mask.bits, td).reshape(-1).nonzero()[0]
+def support_coords(mask: Mask, entries: EditMap) -> np.ndarray:
+    """Sorted coordinates of the merged support: the mask's bits or the map's live entries."""
+    return (mask.bits.reshape(-1) | entries.live).nonzero()[0]
 
 
 def compute_sensitivity(
@@ -55,6 +56,7 @@ def compute_sensitivity(
     theta_dense: dict[str, np.ndarray],
     masks: dict[str, Mask],
     delta: SparseDelta,
+    edits: dict[str, EditMap],
     base: dict[str, np.ndarray],
     criterion: str = CRITERION_SENSITIVITY,
     source: str = SOURCE_PRETRAINED,
@@ -65,7 +67,8 @@ def compute_sensitivity(
     the retained dense base value, or the merged effective value. The
     magnitude criterion scores |merged value|, the classic dynamic-sparse
     criterion. Merged values are ``base``, the masked base of ``theta_dense``
-    under ``masks``, plus the delta.
+    under ``masks``, plus the current entries on ``edits``, the event's maps
+    over ``delta`` (grown entries are zero).
     """
     if criterion not in (CRITERION_SENSITIVITY, CRITERION_MAGNITUDE):
         raise ValueError(f"compute_sensitivity: unknown criterion {criterion!r}")
@@ -74,11 +77,13 @@ def compute_sensitivity(
     merged = criterion == CRITERION_MAGNITUDE or source == SOURCE_MERGED
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name, td in delta.slices.items():
-        coords = support_coords(masks[name], td)
+        entries = edits[name]
+        coords = support_coords(masks[name], entries)
         if coords.size == 0:
             raise ValueError(f"compute_sensitivity: empty support for {name}")
         if merged:
-            w = effective_weights(base[name], td).reshape(-1)[coords].astype(np.float64)
+            current = TensorDelta(*entries.gather(td.values), dtype=td.values.dtype)
+            w = effective_weights(base[name], current).reshape(-1)[coords].astype(np.float64)
         else:
             w = theta_dense[name].reshape(-1)[coords].astype(np.float64)
         if criterion == CRITERION_SENSITIVITY:
@@ -136,9 +141,11 @@ def repair_support(
     already covers, which leaves the support unchanged. Entry slots freed by
     the trim stage are refilled the same way at mask-covered coordinates, so
     the delta sits at its full budget between events. Edits go on each
-    tensor's map in ``edits``, which may already hold this phase's drops but
-    no grows; the support is ``mask.bits | live``. Returns the number of
-    repaired support coordinates.
+    tensor's map in ``edits``, which already holds the event's drops and
+    grows so far (evolution's, then the trim's drops); the support is
+    ``mask.bits | live``, and the sacrifice candidates are the current
+    entries, grown ones at value 0. Returns the number of repaired support
+    coordinates.
     """
     repaired = 0
     for name, td in delta.slices.items():
@@ -157,8 +164,7 @@ def repair_support(
             slack = delta.budgets[name] - entries.count
             overflow = n_picks - slack
             if overflow > 0:
-                held = entries.live[td.indices]  # the entries left, in coordinate order (none grown yet)
-                idx = td.indices[held]
+                idx, values = entries.gather(td.values)
                 covered = bits[idx]
                 n_sac = min(overflow, int(covered.sum()))
                 if n_sac < overflow:
@@ -167,7 +173,7 @@ def repair_support(
                     )
                     n_picks = slack + n_sac
                 if n_sac > 0:
-                    vals = np.abs(td.values[held].astype(np.float64))
+                    vals = np.abs(values.astype(np.float64))
                     vals[~covered] = np.inf  # only sacrifice entries the mask still covers
                     entries.drop(idx[top_k(-vals, n_sac)])
             entries.grow(top_k(flat, n_picks, eligible))
@@ -195,7 +201,7 @@ def adaptation_step(
     theta_dense: dict[str, np.ndarray],
     masks: dict[str, Mask],
     delta: SparseDelta,
-    optim: DeltaOptimState | None,
+    edits: dict[str, EditMap],
     sparsity: float,
     base: dict[str, np.ndarray],
     step: int = 0,
@@ -206,13 +212,13 @@ def adaptation_step(
     """Trim every tensor's merged support back to the sparsity budget.
 
     Runs immediately after a drop/grow cycle on the same accumulated-gradient
-    window, then repairs any under-budget tensors, then rebuilds each edited
-    tensor's entries once. ``base``, the ``pruning.masked_base`` of
-    ``theta_dense`` under ``masks``, feeds the merged values of the scores and
-    is kept in step with the trimmed masks in place.
+    window and on the same maps, ``edits``, then repairs any under-budget
+    tensors on them; the caller rebuilds each tensor's entries once after.
+    ``base``, the ``pruning.masked_base`` of ``theta_dense`` under ``masks``,
+    feeds the merged values of the scores and is kept in step with the trimmed
+    masks in place.
     """
-    scored = compute_sensitivity(window, theta_dense, masks, delta, base, criterion=criterion, source=source)
-    edits = {name: EditMap(name, td.indices, masks[name].bits.size) for name, td in delta.slices.items()}
+    scored = compute_sensitivity(window, theta_dense, masks, delta, edits, base, criterion=criterion, source=source)
     report = AdaptationReport(step=step)
     for name in delta.slices:
         coords, scores = scored[name]
@@ -221,24 +227,20 @@ def adaptation_step(
         report.pruned_base += pb
         report.pruned_delta += pd
     report.repaired = repair_support(window, masks, delta, edits, sparsity, restrict_to_mask)
-    for entries in edits.values():
-        entries.rebuild(delta, optim)
-    report.merged_sparsity, report.per_tensor_sparsity = merged_support_sparsity(masks, delta)
+    active = {name: int(np.count_nonzero(mask.bits.reshape(-1) | edits[name].live)) for name, mask in masks.items()}
+    report.merged_sparsity, report.per_tensor_sparsity = _sparsity(masks, active)
     return report
 
 
 def merged_support_sparsity(masks: dict[str, Mask], delta: SparseDelta | None) -> tuple[float, dict[str, float]]:
     """Global and per-tensor sparsity counting mask-or-delta coordinates as active."""
-    total = 0
-    active = 0
-    per: dict[str, float] = {}
-    for name, mask in masks.items():
-        numel = mask.bits.size
-        if delta is not None and name in delta.slices:
-            sup = int(np.count_nonzero(merged_support(mask.bits, delta.slices[name])))
-        else:
-            sup = mask.popcount()
-        per[name] = 1.0 - sup / numel
-        total += numel
-        active += sup
-    return 1.0 - active / total, per
+    slices = delta.slices if delta is not None else {}
+    active = {name: int(np.count_nonzero(merged_support(mask.bits, slices.get(name)))) for name, mask in masks.items()}
+    return _sparsity(masks, active)
+
+
+def _sparsity(masks: dict[str, Mask], active: dict[str, int]) -> tuple[float, dict[str, float]]:
+    """(global, per-tensor) sparsity of active counts: 1 - active/numel each, 1 - sum(active)/sum(numel) overall."""
+    numel = {name: mask.bits.size for name, mask in masks.items()}
+    per = {name: 1.0 - active[name] / numel[name] for name in masks}
+    return 1.0 - sum(active.values()) / sum(numel.values()), per

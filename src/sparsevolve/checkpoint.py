@@ -26,6 +26,7 @@ VERSION = 1
 KIND_DENSE = 0
 KIND_MASK = 1
 KIND_DELTA = 2
+KIND_NAMES = {KIND_DENSE: "dense", KIND_MASK: "mask", KIND_DELTA: "delta"}
 
 
 class CheckpointError(ValueError):
@@ -198,17 +199,23 @@ class LoadedState:
 def load_state(path: str) -> LoadedState:
     """The checkpoint's records by kind and name.
 
-    Raises CheckpointError when a mask or delta record has no dense record of
-    its name, or a shape other than that record's.
+    Raises CheckpointError when two records share a name and kind, or when a
+    mask or delta record has no dense record of its name, or a shape other
+    than that record's.
     """
     records = read_checkpoint(path)
+    seen = set()
+    for rec in records:
+        if (rec.name, rec.kind) in seen:
+            raise CheckpointError(f"more than one {KIND_NAMES[rec.kind]} record of {rec.name}")
+        seen.add((rec.name, rec.kind))
     state = LoadedState(dense={rec.name: rec.dense for rec in records if rec.kind == KIND_DENSE})
     for rec in records:
         if rec.kind == KIND_DENSE:
             continue
         dense = state.dense.get(rec.name)
         if dense is None or dense.shape != rec.shape:
-            kind = "mask" if rec.kind == KIND_MASK else "delta"
+            kind = KIND_NAMES[rec.kind]
             have = "none" if dense is None else f"shape {dense.shape}"
             raise CheckpointError(f"{kind} record of {rec.name} has shape {rec.shape}; its dense record: {have}")
         if rec.kind == KIND_MASK:

@@ -5,14 +5,15 @@ budget is sized to match a low-rank adapter's trainable parameter count at a
 given rank, split per tensor. Per-entry optimizer moments stay aligned with
 the index vector through every edit.
 
-Editing. A topology event edits each tensor's entries on an ``EditMap``: a
-dense live-entry bitmap plus a bitmap of reset coordinates, those grown in the
-phase (including dropped-then-regrown ones), whose value and both moments
-restart at zero. Grows and drops only flip bits (and refuse present, absent or
-repeated coordinates). At the end of the phase ``EditMap.rebuild`` writes the
-tensor's sorted indices, values and moments back once, gathered through the
-bitmaps: no sort, no search, no per-edit merge. ``insert_entries`` and ``remove_entries``
-are one grow or drop each on such a map.
+Editing. A topology event, evolution then adaptation, edits each tensor's
+entries on one ``EditMap``: a dense live-entry bitmap plus a bitmap of reset
+coordinates, those grown in the event (including dropped-then-regrown ones),
+whose value and both moments restart at zero. Grows and drops only flip bits
+(and refuse present, absent or repeated coordinates). ``EditMap.gather`` reads
+the current entries off the untouched pre-event arrays, and at the end of the
+event ``EditMap.rebuild`` writes the sorted indices, values and moments back
+once through it: no sort, no search, no per-edit merge. ``insert_entries``
+and ``remove_entries`` are one grow or drop each on such a map.
 
 Flat layout. The optimizer keeps all delta values in one contiguous buffer,
 and each AdamW moment in another, in ``delta.slices`` order. Every
@@ -289,19 +290,20 @@ def adamw_update(
 
 
 class EditMap:
-    """One tensor's delta entries as dense bitmaps, edited through one phase of an event.
+    """One tensor's delta entries as dense bitmaps, edited through a whole topology event.
 
     ``live`` marks the coordinates that hold an entry; ``reset`` marks those
-    grown during the phase (a dropped-then-regrown one included), whose value
-    and both moments restart at zero. ``rebuild`` then writes the phase's
-    result back once, as sorted indices, values and moments gathered through
-    the two bitmaps: no sort, no search.
+    grown during the event (a dropped-then-regrown one included), whose value
+    and both moments restart at zero. ``origin``, the indices the map was
+    built from, stays aligned with the tensor's values and moments until
+    ``rebuild`` writes the event's result back once.
     """
 
-    __slots__ = ("name", "live", "reset", "count", "edited")
+    __slots__ = ("name", "origin", "live", "reset", "count", "edited")
 
     def __init__(self, name: str, indices: np.ndarray, numel: int):
         self.name = name
+        self.origin = indices
         self.live = np.zeros(numel, dtype=bool)
         self.live[indices] = True
         self.reset = np.zeros(numel, dtype=bool)
@@ -337,29 +339,34 @@ class EditMap:
             raise ValueError(f"drop: index not present for {self.name}")
         self._set(coords, False)
 
-    def rebuild(self, delta: SparseDelta, optim: DeltaOptimState | None = None) -> None:
-        """Write the edited entries back into ``delta`` (and ``optim``): one gather per array, nothing if unedited.
+    def gather(self, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The live coordinates in order, then each array (aligned with ``origin``) carried onto them, reset ones at 0.
 
-        Every live coordinate that is not reset held an entry before the
-        phase, so the old entries kept (live, not reset) and the new entries
-        carried (not reset) are the same ones, both in coordinate order.
+        Every live coordinate that is not reset held an entry at ``origin``,
+        so the origin entries kept (live, not reset) and the entries carried
+        (not reset) are the same ones, both in coordinate order.
         """
+        kept = (self.live[self.origin] & ~self.reset[self.origin]).nonzero()[0]
+        indices = self.live.nonzero()[0]
+        carried = (~self.reset[indices]).nonzero()[0]
+        out = [indices]
+        for arr in arrays:
+            new = np.zeros(indices.size, dtype=arr.dtype)
+            new[carried] = arr[kept]
+            out.append(new)
+        return tuple(out)
+
+    def rebuild(self, delta: SparseDelta, optim: DeltaOptimState | None = None) -> None:
+        """Write the edited entries back into ``delta`` (and ``optim``): one gather per array, nothing if unedited."""
         if not self.edited:
             return
         td = delta.slices[self.name]
-        old = td.indices
-        kept = (self.live[old] & ~self.reset[old]).nonzero()[0]
-        indices = self.live.nonzero()[0]
-        carried = (~self.reset[indices]).nonzero()[0]
-
-        def gather(arr: np.ndarray) -> np.ndarray:
-            out = np.zeros(indices.size, dtype=arr.dtype)
-            out[carried] = arr[kept]
-            return out
-
-        td.indices, td.values = indices, gather(td.values)
-        if optim is not None:
-            optim.m[self.name], optim.v[self.name] = gather(optim.m[self.name]), gather(optim.v[self.name])
+        if optim is None:
+            td.indices, td.values = self.gather(td.values)
+        else:
+            td.indices, td.values, optim.m[self.name], optim.v[self.name] = self.gather(
+                td.values, optim.m[self.name], optim.v[self.name]
+            )
 
 
 def _edit_once(delta: SparseDelta, name: str, coords: np.ndarray, optim: DeltaOptimState | None, edit) -> None:

@@ -6,20 +6,21 @@ accumulated-gradient magnitudes. Growth may reactivate masked (pruned base)
 coordinates unless the run is structured or mask-constrained. The per-cycle
 turnover follows a cosine decay of the initial drop rate over the run.
 
-Each tensor's drops and grows are edits on one dense ``delta.EditMap``: a
-drop clears live bits, a grow sets live and reset bits (so a dropped
-coordinate that is regrown restarts from zero value and zero moments), and
-one rebuild per tensor writes the sorted entries back at the end of the cycle.
+Each tensor's drops and grows are edits on the event's dense
+``delta.EditMap``: a drop clears live bits, a grow sets live and reset bits
+(so a dropped coordinate that is regrown restarts from zero value and zero
+moments). The tensor's arrays are not touched: sparsity adaptation goes on
+editing the same maps, and one rebuild per tensor ends the event.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .delta import DeltaOptimState, EditMap, SparseDelta, TensorDelta, top_k
+from .delta import EditMap, SparseDelta, TensorDelta, top_k
 from .delta import insert_entries, remove_entries  # noqa: F401  unused here; only bench/tracing.py patches them
 from .pruning import Mask
 
@@ -112,7 +113,6 @@ class EvolutionReport:
     grown: int
     reactivations: int
     shortfall: int = 0
-    per_tensor: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     @property
     def reactivation_fraction(self) -> float:
@@ -153,7 +153,7 @@ def apportion(total: int, sizes: list[int], caps: list[int]) -> list[int]:
 
 def evolve(
     delta: SparseDelta,
-    optim: DeltaOptimState | None,
+    edits: dict[str, EditMap],
     window: dict[str, np.ndarray],
     masks: dict[str, Mask],
     schedule: EvolutionSchedule,
@@ -163,9 +163,11 @@ def evolve(
 
     The global quota is apportioned per tensor proportionally to its current
     support. Dropped coordinates remain eligible for an immediate regrow, with
-    zero value and zero moments. Each tensor's entries are rebuilt once. The
-    window is only read: the sparsity-adaptation stage reuses it, and the
-    caller resets it after the event.
+    zero value and zero moments. The edits go on each tensor's map in
+    ``edits``, built from the delta's entries at the start of the event; the
+    caller rebuilds the entries once the event is over. The window is only
+    read: the sparsity-adaptation stage reuses it, and the caller resets it
+    after the event.
     """
     if step % schedule.every != 0:
         raise ValueError(f"evolve: step {step} is not a multiple of every={schedule.every}")
@@ -175,18 +177,15 @@ def evolve(
     shares = apportion(quota, sizes, caps=sizes)
     report = EvolutionReport(step=step, quota=quota, dropped=0, grown=0, reactivations=0)
     for name, share in sorted(zip(names, shares)):
-        td = delta.slices[name]
         bits = masks[name].bits
-        edits = EditMap(name, td.indices, bits.size)
-        dropped = select_drop(td, share)
-        edits.drop(dropped)
-        grown, shortfall = select_grow(window[name], edits.live, bits, share, schedule.restrict_growth)
-        edits.grow(grown)
-        edits.rebuild(delta, optim)
+        entries = edits[name]
+        dropped = select_drop(delta.slices[name], share)
+        entries.drop(dropped)
+        grown, shortfall = select_grow(window[name], entries.live, bits, share, schedule.restrict_growth)
+        entries.grow(grown)
         react = int((~bits.reshape(-1)[grown]).sum())
         report.dropped += dropped.size
         report.grown += grown.size
         report.reactivations += react
         report.shortfall += shortfall
-        report.per_tensor[name] = (int(dropped.size), int(grown.size))
     return report

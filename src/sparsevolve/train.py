@@ -44,6 +44,7 @@ from .delta import (
     EPS,
     WEIGHT_DECAY,
     DeltaOptimState,
+    EditMap,
     SparseDelta,
     adamw_step,
     adamw_update,
@@ -460,8 +461,9 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
         adamw_step(delta, optim, gather_grads(delta, dense_grads), cfg.lr)
 
         event = step % cfg.every == 0
-        if event:
-            report = evolve(delta, optim, acc.sums, masks, schedule, step)
+        if event:  # one edit map per tensor for the whole event, rebuilt once at its end
+            edits = {name: EditMap(name, td.indices, masks[name].bits.size) for name, td in delta.slices.items()}
+            report = evolve(delta, edits, acc.sums, masks, schedule, step)
             result.reactivations += report.reactivations
             result.grown += report.grown
             metrics.row(
@@ -480,7 +482,7 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
                     theta,
                     masks,
                     delta,
-                    optim,
+                    edits,
                     cfg.sparsity,
                     base,
                     step=step,
@@ -497,6 +499,8 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
                 }
                 row.update({f"sparsity:{n}": s for n, s in arep.per_tensor_sparsity.items()})
                 metrics.row("adapt", **row)
+            for entries in edits.values():
+                entries.rebuild(delta, optim)
             for sums in acc.sums.values():  # the next window starts from zero, in place
                 sums.fill(0.0)
         materialize(tree, base, delta)  # once per step, after the event on an event step

@@ -136,7 +136,7 @@ def test_criterion_1_sparsity_restoration(tmp_path):
             events_total += 1
             for name, mask in ev.masks.items():
                 numel = mask.bits.size
-                sup = support_coords(mask, ev.delta.slices[name]).size
+                sup = support_coords(mask, EditMap(name, ev.delta.slices[name].indices, numel)).size
                 err = abs((1.0 - sup / numel) - rho)
                 worst = max(worst, err * numel)
                 if err > 1.0 / numel:
@@ -173,7 +173,9 @@ def test_criterion_2_budget_conservation():
         )
         step = int(rng.integers(0, sched.total_steps + 1))
         before = delta.support_size()
-        evolve(delta, optim, acc.sums, masks, sched, step)
+        edits = {"t": EditMap("t", idx, numel)}
+        evolve(delta, edits, acc.sums, masks, sched, step)
+        edits["t"].rebuild(delta, optim)
         assert delta.support_size() == before
     report(2, True, "|support| conserved across 1000 randomized evolve cycles", t0)
 
@@ -268,7 +270,7 @@ def test_criterion_3_topk_oracle():
         base = masked_base({"t": np.ones((1, numel))}, {"t": mask})["t"]
         rebuild_mask(coords, s, sparsity, mask, edits, base)
         edits.rebuild(d)
-        np.testing.assert_array_equal(support_coords(mask, d.slices["t"]), expect)
+        np.testing.assert_array_equal(support_coords(mask, EditMap("t", d.slices["t"].indices, numel)), expect)
     report(3, True, f"drop/grow/build/rebuild match brute-force sort on {n_instances} instances each", t0)
 
 

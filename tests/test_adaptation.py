@@ -29,20 +29,31 @@ def edit_maps(d, masks):
     return {n: EditMap(n, td.indices, masks[n].bits.size) for n, td in d.slices.items()}
 
 
+def support_of(mask, td):
+    """``support_coords`` over a fresh edit map of ``td``'s entries."""
+    return support_coords(mask, EditMap(mask.name, td.indices, mask.bits.size))
+
+
 def base_of(theta, mask):
     return masked_base({"t": theta}, {"t": mask})
 
 
 def scores_of(window, theta, mask, d, **kw):
-    return compute_sensitivity(window, {"t": theta}, {"t": mask}, d, base_of(theta, mask), **kw)
+    edits = edit_maps(d, {"t": mask})
+    return compute_sensitivity(window, {"t": theta}, {"t": mask}, d, edits, base_of(theta, mask), **kw)
 
 
 def adapt(window, theta, mask, d, optim, sparsity, **kw):
-    return adaptation_step(window, {"t": theta}, {"t": mask}, d, optim, sparsity, base_of(theta, mask), **kw)
+    """``adaptation_step`` on fresh edit maps, rebuilt straight after, as one event."""
+    edits = edit_maps(d, {"t": mask})
+    report = adaptation_step(window, {"t": theta}, {"t": mask}, d, edits, sparsity, base_of(theta, mask), **kw)
+    for entries in edits.values():
+        entries.rebuild(d, optim)
+    return report
 
 
 def trim_and_rebuild(coords, scores, sparsity, mask, d, theta, base=None):
-    """``rebuild_mask`` on a fresh edit map, rebuilt straight after, as one phase.
+    """``rebuild_mask`` on a fresh edit map, rebuilt straight after, as a whole event.
 
     ``base`` is the tensor's cached masked base; a fresh one of ``theta`` by default.
     """
@@ -54,7 +65,7 @@ def trim_and_rebuild(coords, scores, sparsity, mask, d, theta, base=None):
 
 
 def repair_and_rebuild(window, masks, d, optim, sparsity, restrict_to_mask=False):
-    """``repair_support`` on fresh edit maps, rebuilt straight after, as one phase."""
+    """``repair_support`` on fresh edit maps, rebuilt straight after, as a whole event."""
     edits = edit_maps(d, masks)
     repaired = repair_support(window, masks, d, edits, sparsity, restrict_to_mask)
     for entries in edits.values():
@@ -107,7 +118,7 @@ def test_magnitude_scores_use_merged_weight():
 
 def test_support_is_union():
     theta, mask, d = state(6, [0, 3], [3, 5], [0.1, 0.2])
-    np.testing.assert_array_equal(support_coords(mask, d.slices["t"]), [0, 3, 5])
+    np.testing.assert_array_equal(support_of(mask, d.slices["t"]), [0, 3, 5])
 
 
 # --- rebuild ---
@@ -116,7 +127,7 @@ def test_support_is_union():
 def test_rebuild_keeps_top_four_of_ten():
     theta, mask, d = state(10, range(10), [], [])
     scores = np.array([9.0, 1.0, 8.0, 2.0, 7.0, 3.0, 6.0, 4.0, 5.0, 0.0])
-    coords = support_coords(mask, d.slices["t"])
+    coords = support_of(mask, d.slices["t"])
     pb, pd = trim_and_rebuild(coords, scores, 0.6, mask, d, theta)
     assert keep_budget(10, 0.6) == 4
     np.testing.assert_array_equal(np.flatnonzero(mask.bits), [0, 2, 4, 6])
@@ -133,7 +144,7 @@ def test_rebuild_matches_sort_oracle_randomized():
         n_delta = int(rng.integers(0, max(1, extra.size)))
         delta_coords = np.sort(rng.choice(extra, size=n_delta, replace=False)) if n_delta else []
         theta, mask, d = state(numel, mask_coords, delta_coords, np.ones(len(delta_coords)))
-        coords = support_coords(mask, d.slices["t"])
+        coords = support_of(mask, d.slices["t"])
         if coords.size == 0:
             continue
         scores = rng.integers(0, 5, size=coords.size).astype(float)
@@ -142,13 +153,13 @@ def test_rebuild_matches_sort_oracle_randomized():
         order = sorted(range(coords.size), key=lambda i: (-scores[i], coords[i]))
         expect_keep = sorted(coords[i] for i in order[:budget]) if coords.size >= budget else sorted(coords)
         trim_and_rebuild(coords, scores, sparsity, mask, d, theta)
-        got = support_coords(mask, d.slices["t"])
+        got = support_of(mask, d.slices["t"])
         np.testing.assert_array_equal(got, expect_keep)
 
 
 def test_rebuild_removed_coordinate_loses_both():
     theta, mask, d = state(4, [0, 1], [1, 2], [0.5, 0.75], budget=2)
-    coords = support_coords(mask, d.slices["t"])  # 0,1,2
+    coords = support_of(mask, d.slices["t"])  # 0,1,2
     scores = np.array([5.0, 0.1, 4.0])  # coordinate 1 is weakest
     pb, pd = trim_and_rebuild(coords, scores, 0.5, mask, d, theta)  # keep 2
     assert pb == 1 and pd == 1
@@ -159,7 +170,7 @@ def test_rebuild_removed_coordinate_loses_both():
 def test_rebuild_zeroes_the_cached_base_where_it_clears_bits():
     theta, mask, d = state(6, [0, 1, 2, 3], [1, 5], [0.5, 0.75], budget=2)
     base = base_of(theta, mask)["t"]
-    coords = support_coords(mask, d.slices["t"])  # 0,1,2,3,5
+    coords = support_of(mask, d.slices["t"])  # 0,1,2,3,5
     pb, pd = trim_and_rebuild(coords, np.array([5.0, 0.1, 4.0, 0.2, 3.0]), 0.5, mask, d, theta, base=base)
     assert pb == 2 and pd == 1  # bits 1 and 3 cleared; entry 1 dropped
     assert base.tobytes() == base_of(theta, mask)["t"].tobytes()
@@ -167,7 +178,7 @@ def test_rebuild_zeroes_the_cached_base_where_it_clears_bits():
 
 def test_rebuild_kept_delta_only_coordinate_stays_unmasked():
     theta, mask, d = state(4, [0], [3], [9.0], budget=1)
-    coords = support_coords(mask, d.slices["t"])  # 0,3
+    coords = support_of(mask, d.slices["t"])  # 0,3
     scores = np.array([1.0, 2.0])
     trim_and_rebuild(coords, scores, 0.5, mask, d, theta)  # keep both
     assert not mask.bits.reshape(-1)[3]
@@ -176,7 +187,7 @@ def test_rebuild_kept_delta_only_coordinate_stays_unmasked():
 
 def test_rebuild_below_budget_is_noop_logged_at_debug(caplog):
     theta, mask, d = state(10, [0, 1], [], [])
-    coords = support_coords(mask, d.slices["t"])
+    coords = support_of(mask, d.slices["t"])
     with caplog.at_level("DEBUG", logger="sparsevolve.adaptation"):
         pb, pd = trim_and_rebuild(coords, np.ones(2), 0.6, mask, d, theta)
     assert pb == pd == 0
@@ -200,12 +211,12 @@ def test_rebuild_never_creates_support():
         numel = 32
         mask_coords = np.flatnonzero(rng.random(numel) < 0.5)
         theta, mask, d = state(numel, mask_coords, [], [])
-        coords = support_coords(mask, d.slices["t"])
+        coords = support_of(mask, d.slices["t"])
         if coords.size == 0:
             continue
         before = set(coords.tolist())
         trim_and_rebuild(coords, rng.normal(size=coords.size) ** 2, 0.7, mask, d, theta)
-        after = set(support_coords(mask, d.slices["t"]).tolist())
+        after = set(support_of(mask, d.slices["t"]).tolist())
         assert after <= before
 
 
@@ -218,7 +229,7 @@ def test_grown_coordinates_survive_weak_base_pruned():
     scored = scores_of(window, theta, mask, d)
     coords, scores = scored["t"]
     trim_and_rebuild(coords, scores, 0.5, mask, d, theta)  # keep 2 of 4
-    kept = support_coords(mask, d.slices["t"])
+    kept = support_of(mask, d.slices["t"])
     np.testing.assert_array_equal(kept, [0, 3])  # reactivated 3 survives, weak base 1,2 pruned
     assert 3 in d.slices["t"].indices
 
@@ -231,7 +242,7 @@ def test_repair_refills_under_budget_support():
     window = {"t": np.arange(10, dtype=np.float64).reshape(1, 10)}
     repaired = repair_and_rebuild(window, {"t": mask}, d, None, 0.5)  # keep budget 5, support 3
     assert repaired == 2
-    got = support_coords(mask, d.slices["t"])
+    got = support_of(mask, d.slices["t"])
     np.testing.assert_array_equal(got, [0, 1, 5, 8, 9])  # largest |window| outside support
 
 
@@ -245,7 +256,7 @@ def test_repair_swaps_when_entry_budget_full():
     td = d.slices["t"]
     assert len(td) == 2  # entry budget still respected
     assert 6 in td.indices  # off-mask entry was not sacrificed
-    got = support_coords(mask, td)
+    got = support_of(mask, td)
     np.testing.assert_array_equal(got, [0, 1, 2, 3, 6])
 
 
@@ -254,7 +265,7 @@ def test_repair_swap_full_when_all_entries_covered():
     window = {"t": np.array([[0.0, 0.0, 0.0, 5.0, 4.0, 0.0, 0.0, 0.0]])}
     repaired = repair_and_rebuild(window, {"t": mask}, d, None, 0.375)  # keep budget 5, support 3
     assert repaired == 2
-    np.testing.assert_array_equal(support_coords(mask, d.slices["t"]), [0, 1, 2, 3, 4])
+    np.testing.assert_array_equal(support_of(mask, d.slices["t"]), [0, 1, 2, 3, 4])
     assert len(d.slices["t"]) == 2
 
 
@@ -343,7 +354,7 @@ def test_adaptation_removes_exactly_m_grown():
     window = {"t": np.ones((1, 10))}
     rep = adapt(window, theta, mask, d, None, 0.5, step=10)
     assert rep.pruned_base + rep.pruned_delta == 3
-    assert support_coords(mask, d.slices["t"]).size == 5
+    assert support_of(mask, d.slices["t"]).size == 5
     assert rep.merged_sparsity == pytest.approx(0.5)
 
 
@@ -369,7 +380,7 @@ def test_adaptation_per_tensor_budget_and_optimizer_alignment():
     rep = adapt(window, theta, mask, d, opt, 0.6, step=10)
     td = d.slices["t"]
     assert opt.m["t"].shape == td.indices.shape == opt.v["t"].shape
-    assert support_coords(mask, td).size == keep_budget(numel, 0.6)
+    assert support_of(mask, td).size == keep_budget(numel, 0.6)
 
 
 def test_merged_support_sparsity_global():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -170,8 +171,15 @@ def finetuned(tmp_path_factory):
 
 
 def plant(records, case):
-    """Break the first mask or delta record against the dense record of its name."""
-    rec = next(r for r in records if r.kind == (ck.KIND_MASK if case.startswith("mask") else ck.KIND_DELTA))
+    """Break the first record of the case's kind: against the dense record of its name, or by a second of its name and kind."""
+    kind = {"dense": ck.KIND_DENSE, "mask": ck.KIND_MASK, "delta": ck.KIND_DELTA}[case.split("-")[0]]
+    rec = next(r for r in records if r.kind == kind)
+    if case.endswith("-duplicate"):  # a later record of the same name and kind; a one-entry one for a delta
+        twin = dataclasses.replace(rec)
+        if kind == ck.KIND_DELTA:
+            twin.indices, twin.values = rec.indices[:1], rec.values[:1]
+        records.append(twin)
+        return
     rows, cols = rec.shape
     if case == "mask-reshaped":  # the same bits under another shape
         rec.shape = (rows // 2, cols * 2)
@@ -184,7 +192,10 @@ def plant(records, case):
         rec.name = "ghost.w"
 
 
-@pytest.mark.parametrize("case", ["mask-reshaped", "delta-enlarged", "mask-orphan", "delta-orphan"])
+@pytest.mark.parametrize(
+    "case",
+    ["mask-reshaped", "delta-enlarged", "mask-orphan", "delta-orphan", "dense-duplicate", "mask-duplicate", "delta-duplicate"],
+)
 def test_checkpoint_records_whose_shapes_disagree_are_refused(finetuned, tmp_path, capsys, case):
     ckpt = str(tmp_path / "bad.ckpt")
     records = ck.read_checkpoint(str(finetuned))

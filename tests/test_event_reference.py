@@ -1,10 +1,10 @@
 """The topology event against its per-edit reference, bitwise.
 
-``evolve`` and ``adaptation_step`` edit each tensor's entries on a dense map
-and rebuild them once per phase. The reference below is the earlier
-formulation: every drop and grow is its own sorted merge of the index, value
-and moment arrays (``searchsorted`` plus four copies), and every stage
-recomputes the support. It scores with its own formulas over an
+``evolve`` and ``adaptation_step`` edit each tensor's entries on one dense map
+per event, and the entries are rebuilt once when the event ends. The
+reference below is the earlier formulation: every drop and grow is its own
+sorted merge of the index, value and moment arrays (``searchsorted`` plus
+four copies), and every stage recomputes the support. It scores with its own formulas over an
 ``np.union1d`` support, not with the scorer under test. Both run the same
 events on copies of random states, and every array, mask bit and report field
 must match bit for bit.
@@ -27,7 +27,7 @@ from sparsevolve.adaptation import (
     adaptation_step,
     keep_budget,
 )
-from sparsevolve.delta import DeltaOptimState, SparseDelta, TensorDelta, top_k
+from sparsevolve.delta import DeltaOptimState, EditMap, SparseDelta, TensorDelta, top_k
 from sparsevolve.evolution import (
     EvolutionReport,
     EvolutionSchedule,
@@ -93,7 +93,6 @@ def ref_evolve(delta, optim, window, masks, schedule, step, seen):
         report.grown += grown.size
         report.reactivations += int((~bits[grown]).sum())
         report.shortfall += share - grown.size
-        report.per_tensor[name] = (int(dropped.size), int(grown.size))
     return report
 
 
@@ -267,8 +266,11 @@ def test_event_equals_the_per_edit_reference_bitwise():
                 seen["dropped"] = {}
                 acc = GradAccumulator(SHAPES)
                 acc.accumulate(window)
-                er = evolve(delta, optim, acc.sums, masks, schedule, step)
-                ar = adaptation_step(acc.sums, theta, masks, delta, optim, sparsity, base, step, criterion, source, restrict)
+                edits = {n: EditMap(n, td.indices, masks[n].bits.size) for n, td in delta.slices.items()}
+                er = evolve(delta, edits, acc.sums, masks, schedule, step)
+                ar = adaptation_step(acc.sums, theta, masks, delta, edits, sparsity, base, step, criterion, source, restrict)
+                for entries in edits.values():
+                    entries.rebuild(delta, optim)
                 ref_er = ref_evolve(*ref[:2], window, ref[2], schedule, step, seen)
                 ref_ar = ref_adaptation_step(window, theta, ref[2], *ref[:2], sparsity, step, criterion, source, restrict, seen)
                 assert report_fields(er) == report_fields(ref_er), where

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsevolve.delta import DeltaOptimState, SparseDelta, TensorDelta, insert_entries, remove_entries
+from sparsevolve.delta import DeltaOptimState, EditMap, SparseDelta, TensorDelta, insert_entries, remove_entries
 from sparsevolve.evolution import (
     EvolutionSchedule,
     GradAccumulator,
@@ -20,6 +20,15 @@ def make_delta(entries: dict[str, tuple], budgets=None, dtype=np.float64):
     for n, (idx, vals) in entries.items():
         d.slices[n] = TensorDelta(np.asarray(idx), np.asarray(vals, dtype=dtype), dtype=dtype)
     return d
+
+
+def evolve_and_rebuild(delta, optim, window, masks, schedule, step):
+    """``evolve`` on fresh edit maps, each rebuilt once after, as the training loop runs an event."""
+    edits = {n: EditMap(n, td.indices, masks[n].bits.size) for n, td in delta.slices.items()}
+    report = evolve(delta, edits, window, masks, schedule, step)
+    for entries in edits.values():
+        entries.rebuild(delta, optim)
+    return report
 
 
 def live(indices, numel):
@@ -227,7 +236,7 @@ def test_evolve_budget_conservation_randomized():
         sched = EvolutionSchedule(drop_rate=rng.uniform(0.05, 0.5), total_steps=100, every=10)
         step = int(rng.integers(1, 10)) * 10
         before = d.support_size()
-        report = evolve(d, opt, acc.sums, masks, sched, step)
+        report = evolve_and_rebuild(d, opt, acc.sums, masks, sched, step)
         assert d.support_size() == before
         assert report.dropped == report.grown == report.quota
         td = d.slices["a"]
@@ -238,7 +247,7 @@ def test_evolve_zero_quota_leaves_entries_and_window():
     d = make_delta({"a": (np.array([1, 2]), np.array([1.0, 2.0]))})
     window = {"a": np.ones(8)}
     sched = EvolutionSchedule(drop_rate=0.2, total_steps=10, every=10)
-    report = evolve(d, None, window, {"a": Mask("a", np.ones((1, 8), bool))}, sched, 10)  # cos(pi)=-1
+    report = evolve_and_rebuild(d, None, window, {"a": Mask("a", np.ones((1, 8), bool))}, sched, 10)  # cos(pi)=-1
     assert report.quota == 0
     np.testing.assert_array_equal(d.slices["a"].indices, [1, 2])
     np.testing.assert_array_equal(window["a"], 1.0)  # only read: the training loop resets it
@@ -249,7 +258,7 @@ def test_evolve_requires_cycle_boundary():
     acc = GradAccumulator({"a": (4,)})
     sched = EvolutionSchedule(every=10, total_steps=100)
     with pytest.raises(ValueError, match="multiple"):
-        evolve(d, None, acc.sums, {"a": Mask("a", np.ones((1, 4), bool))}, sched, 7)
+        evolve_and_rebuild(d, None, acc.sums, {"a": Mask("a", np.ones((1, 4), bool))}, sched, 7)
 
 
 def test_evolve_matches_sequential_reference():
@@ -265,7 +274,7 @@ def test_evolve_matches_sequential_reference():
     acc = GradAccumulator({"a": (numel,)})
     acc.accumulate({"a": grads.copy()})
     sched = EvolutionSchedule(drop_rate=0.25, total_steps=100, every=10)
-    report = evolve(d1, None, acc.sums, {"a": Mask("a", bits)}, sched, 10)
+    report = evolve_and_rebuild(d1, None, acc.sums, {"a": Mask("a", bits)}, sched, 10)
 
     d2 = make_delta({"a": (idx, vals)})
     quota = drop_quota(10, sched, 16)
@@ -287,7 +296,7 @@ def test_dropped_coordinate_may_regrow_immediately():
     g[3] = 100.0
     acc.accumulate({"a": g})
     sched = EvolutionSchedule(drop_rate=0.5, total_steps=200, every=10, cosine=False)
-    report = evolve(d, None, acc.sums, {"a": Mask("a", np.ones((1, 10), bool))}, sched, 10)
+    report = evolve_and_rebuild(d, None, acc.sums, {"a": Mask("a", np.ones((1, 10), bool))}, sched, 10)
     assert report.quota == 1
     assert 3 in d.slices["a"].indices.tolist()
 
@@ -301,7 +310,7 @@ def test_structured_growth_stays_in_mask():
     for step in range(5, 55, 5):
         acc = GradAccumulator({"a": (32,)})
         acc.accumulate({"a": rng.normal(size=32)})
-        evolve(d, None, acc.sums, {"a": Mask("a", bits)}, sched, step % 100)
+        evolve_and_rebuild(d, None, acc.sums, {"a": Mask("a", bits)}, sched, step % 100)
         assert bits.reshape(-1)[d.slices["a"].indices].all()
 
 
@@ -314,6 +323,6 @@ def test_reactivation_fraction_counts_masked_grows():
     g[5] = 10.0
     acc.accumulate({"a": g})
     sched = EvolutionSchedule(drop_rate=0.9, total_steps=1000, every=10, cosine=False)
-    report = evolve(d, None, acc.sums, {"a": Mask("a", bits.reshape(1, -1))}, sched, 10)
+    report = evolve_and_rebuild(d, None, acc.sums, {"a": Mask("a", bits.reshape(1, -1))}, sched, 10)
     assert report.grown == 1 and report.reactivations == 1
     assert report.reactivation_fraction == 1.0

@@ -422,29 +422,43 @@ def test_bench_tracer_counts_one_merge_step_and_gather_per_step(tmp_path, monkey
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    maps: dict[str, int] = {}
     rebuilds: dict[str, int] = {}
-    real_rebuild = EditMap.rebuild
+    real_init, real_rebuild = EditMap.__init__, EditMap.rebuild
+
+    def counted_init(self, name, indices, numel):
+        maps[name] = maps.get(name, 0) + 1
+        real_init(self, name, indices, numel)
 
     def counted_rebuild(self, delta, optim=None):
         rebuilds[self.name] = rebuilds.get(self.name, 0) + 1
         real_rebuild(self, delta, optim)
 
+    monkeypatch.setattr(EditMap, "__init__", counted_init)
     monkeypatch.setattr(EditMap, "rebuild", counted_rebuild)
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
+    seen = []
     try:
         cfg = cfg_for(tmp_path, steps=10, every=5, eval_every=0, run_name="traced")
-        tracer.wrap("job", lambda: train(cfg))()
+        tracer.wrap("job", lambda: train(cfg, on_event=seen.append))()
     finally:
         restore()
     calls = {n: c["calls"] for n, c in tracing.summarize(tracer.names, tracer.arrays())["spans"].items()}
     events = cfg.steps // cfg.every
+    tensors = len(seen[0].delta.slices)
     assert calls["delta.adamw_step"] == calls["delta.gather_grads"] == cfg.steps
     assert calls["delta.materialize"] == 1 + cfg.steps  # an event step merges once, after the event
     assert calls["evolution.evolve"] == calls["adaptation.adaptation_step"] == events
-    # each tensor's entries are rebuilt once per phase at most (evolve, then adaptation),
-    # never once per edit: per-edit merges (insert_entries/remove_entries) stay off the event path
-    assert rebuilds and max(rebuilds.values()) <= 2 * events
+    # one scorer call per event, and one support read per tensor in it: the bench's
+    # per-layer rows time the scorer's support read through these names
+    assert calls["adaptation.compute_sensitivity"] == events
+    assert calls["adaptation.support_coords"] == events * tensors
+    # evolution and adaptation edit one map per tensor per event, and its entries are
+    # rebuilt once at most, when the event ends, never once per edit: per-edit merges
+    # (insert_entries/remove_entries) stay off the event path
+    assert maps == {name: events for name in seen[0].delta.slices}
+    assert rebuilds and max(rebuilds.values()) <= events
     assert calls["delta.insert_entries"] == calls["delta.remove_entries"] == 0
 
 
