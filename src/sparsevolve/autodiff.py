@@ -13,7 +13,13 @@ reference count, without waiting for the cyclic garbage collector.
 
 Reductions are performed in numpy's fixed row-major order, so forward and
 backward results are bitwise reproducible for identical inputs on the same
-machine. Threading model: one tape is single-threaded, and the tape stack is
+machine. Ops compute with ``out=`` and in-place ufuncs into arrays they
+allocated themselves; each keeps the association order of its formula, so
+the bits are those of the allocating expressions. No op writes into an
+input's ``.data`` or into an incoming gradient (``add``'s VJP hands one
+gradient to both parents).
+
+Threading model: one tape is single-threaded, and the tape stack is
 thread-local, so independent graphs may be built and backpropagated on
 separate threads while they only read shared leaves. Such threads must not
 write ``.grad`` of a shared leaf: each passes its own ``leaf_grads`` store to
@@ -29,7 +35,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -272,25 +278,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
+# OpenBLAS runs a GEMM of at most 100**3 multiply-adds (M*N*K) in its
+# small-matrix kernel, which may sum in another order than the blocked one.
+# Above this bound every slice of a stacked product already takes the blocked
+# kernel, whose sums do not depend on the row count, so one 2-D GEMM over the
+# flattened rows gives the same bits; at or below it the stacked product stays.
+_FLAT_GEMM_MIN_MNK = 100**3
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w.T + b`` as one node; ``w`` is ``[out, in]``, ``b`` an optional ``[out]`` bias.
 
-    Makes the same numpy calls as ``add(matmul(x, transpose(w, (1, 0))), b)``,
-    so forward values and all three gradients are bitwise equal to that graph.
+    Forward values and all three gradients are bitwise equal to the graph
+    ``add(matmul(x, transpose(w, (1, 0))), b)``. Where one slice's
+    ``rows * in * out`` exceeds ``_FLAT_GEMM_MIN_MNK``, the forward and the
+    input gradient run as one GEMM over the flattened leading dims, which is
+    faster and sums in the same order; at or below the bound OpenBLAS's
+    small-matrix kernel may sum in another order, so they stay stacked.
     """
     xd, wd = x.data, w.data
     if wd.ndim != 2 or xd.ndim < 2 or xd.shape[-1] != wd.shape[1]:
         raise ShapeError("linear", xd.shape, wd.shape)
     if b is not None and b.data.shape != (wd.shape[0],):
         raise ShapeError("linear", wd.shape, b.data.shape)
-    y = xd @ wd.T
-    out = Tensor(y if b is None else y + b.data)
     n_in, n_out = wd.shape[1], wd.shape[0]
+    flat = xd.shape[-2] * n_in * n_out > _FLAT_GEMM_MIN_MNK
+    if flat:
+        y = (xd.reshape(-1, n_in) @ wd.T).reshape(xd.shape[:-1] + (n_out,))
+    else:
+        y = xd @ wd.T
+    if b is not None:
+        y += b.data
+    out = Tensor(y)
 
     def vjp(g):
         gx = gw = gb = None
         if _tracked(x):
-            gx = g @ wd
+            gx = (g.reshape(-1, n_out) @ wd).reshape(xd.shape) if flat else g @ wd
         if _tracked(w):
             gw = (xd.reshape(-1, n_in).T @ g.reshape(-1, n_out)).T
         if b is not None and _tracked(b):
@@ -314,16 +338,38 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU; the derivative is computed here, and kept, only when recording."""
+    """tanh-approximation GELU; the derivative is computed here, and kept, only when recording.
+
+    ``0.5 * x * (1 + t)`` with ``t = tanh(c * (x + 0.044715 * x**3))``; the
+    derivative is ``0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x**2)``.
+    """
     x = a.data
+    recording = _recording((a,)) is not None
     x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * (x2 * x))
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
-    if _recording((a,)) is None:
-        return out
-    sech2 = 1.0 - t * t
-    d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x2)
+    t = x2 * x if recording else np.multiply(x2, x, out=x2)
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    if not recording:
+        t += 1.0  # 1 + t
+        y = x * 0.5
+        y *= t
+        return Tensor(y)
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    t += 1.0  # 1 + t
+    y = x * 0.5
+    sech2 *= y  # 0.5 * x * sech2
+    y *= t
+    out = Tensor(y)
+    sech2 *= _GELU_C
+    x2 *= 3 * 0.044715
+    x2 += 1.0
+    sech2 *= x2
+    d = t  # 1 + t becomes the derivative
+    d *= 0.5
+    d += sech2
 
     def vjp(g):
         return (g * d,)
@@ -337,14 +383,21 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     ``mask`` is a constant added to ``a`` before the softmax (broadcast over
     the leading axes, e.g. a causal ``(T, T)`` mask of 0 and a large negative).
     """
-    x = a.data if mask is None else a.data + mask
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    if mask is None:
+        y = a.data - a.data.max(axis=-1, keepdims=True)
+    else:
+        y = a.data + mask
+        y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def vjp(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        ga = g * y
+        s = ga.sum(axis=-1, keepdims=True)
+        np.subtract(g, s, out=ga)
+        ga *= y
+        return (ga,)
 
     return _record(out, (a,), vjp)
 
@@ -367,23 +420,32 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = a.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("layer_norm", a.data.shape, gain.data.shape)
-    x = a.data
-    mu = _mean_last(x, d)
-    xc = x - mu
-    var = _mean_last(xc * xc, d)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
     gd = gain.data
+    xhat = a.data - _mean_last(a.data, d)
+    y = xhat * xhat  # then the output
+    inv = _mean_last(y, d)  # the variance, then 1 / sqrt(var + eps)
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gd, out=y)
+    y += bias.data
+    out = Tensor(y)
 
     def vjp(g):
         ga = gg = gb = None
+        scratch = None
         if _tracked(a):
-            gy = g * gd
             # d/dx of (x - mu)/sigma: remove the mean and the xhat projection
-            ga = inv * (gy - _mean_last(gy, d) - xhat * _mean_last(gy * xhat, d))
+            ga = g * gd
+            scratch = ga * xhat
+            proj = _mean_last(scratch, d)
+            ga -= _mean_last(ga, d)
+            np.multiply(xhat, proj, out=scratch)
+            ga -= scratch
+            ga *= inv
         if _tracked(gain):
-            gg = (g * xhat).reshape(-1, d).sum(axis=0)
+            gg = np.multiply(g, xhat, out=scratch).reshape(-1, d).sum(axis=0)
         if _tracked(bias):
             gb = g.reshape(-1, d).sum(axis=0)
         return ga, gg, gb
@@ -483,9 +545,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -1) -
     safe_t = np.where(valid, targets, 0)
     if safe_t.min() < 0 or safe_t.max() >= v:
         raise ValueError(f"cross_entropy: target out of range [0, {v})")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse
+    logp = logits.data - logits.data.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
     rows = np.arange(n)
     nll = -logp[rows, safe_t]
     out = Tensor(np.asarray((nll * valid).sum() / n_valid, dtype=logits.data.dtype))
@@ -494,75 +555,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -1) -
         p = np.exp(logp)
         p[rows, safe_t] -= 1.0
         p[~valid] = 0.0
-        return (p * (g / n_valid),)
+        p *= g / n_valid
+        return (p,)
 
     return _record(out, (logits,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_err: float
-    tol: float
-    passed: bool
-    worst: tuple[str, int] | None = None
-    checked: int = 0
-    per_tensor: dict[str, float] = field(default_factory=dict)
-
-
-def grad_check(
-    loss_fn: Callable[[], Tensor],
-    params: dict[str, Tensor],
-    eps: float = 1e-5,
-    tol: float = 1e-4,
-    samples: int = 8,
-    rng: np.random.Generator | None = None,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    ``loss_fn`` rebuilds the scalar loss from the current parameter values;
-    it is invoked once under a tape for the analytic pass and twice per
-    sampled coordinate for the difference quotient. Coordinates are sampled
-    per tensor (all coordinates when a tensor has at most ``samples``).
-    """
-    rng = rng or np.random.default_rng(0)
-    for p in params.values():
-        p.zero_grad()
-    with Tape():
-        loss = loss_fn()
-        backward(loss)
-    analytic = {name: (p.grad if p.grad is not None else np.zeros_like(p.data)) for name, p in params.items()}
-
-    report = GradCheckReport(max_rel_err=0.0, tol=tol, passed=True)
-    for name, p in params.items():
-        numel = p.data.size
-        if numel <= samples:
-            coords = np.arange(numel)
-        else:
-            coords = rng.choice(numel, size=samples, replace=False)
-        flat = p.data.reshape(-1)
-        worst_here = 0.0
-        for c in coords:
-            c = int(c)
-            orig = flat[c]
-            flat[c] = orig + eps
-            up = loss_fn().item()
-            flat[c] = orig - eps
-            down = loss_fn().item()
-            flat[c] = orig
-            fd = (up - down) / (2 * eps)
-            an = float(analytic[name].reshape(-1)[c])
-            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
-            report.checked += 1
-            if rel > worst_here:
-                worst_here = rel
-            if rel > report.max_rel_err:
-                report.max_rel_err = rel
-                report.worst = (name, c)
-        report.per_tensor[name] = worst_here
-    report.passed = report.max_rel_err < tol
-    return report

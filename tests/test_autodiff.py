@@ -1,12 +1,17 @@
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
 
 from sparsevolve import autodiff as ad
-from sparsevolve.autodiff import ShapeError, Tape, Tensor, backward, grad_check
-from sparsevolve.models import build_mlp
+from sparsevolve.autodiff import ShapeError, Tape, Tensor, backward
+from sparsevolve.lora import build_adapters
+from sparsevolve.models import _causal_mask, build_mlp, build_transformer
+from sparsevolve.train import TrainConfig
+
+from oracles import grad_check
 
 
 def test_matmul_identity():
@@ -249,14 +254,48 @@ def _linear_reference(x, w, b):
     return ad.add(ad.matmul(x, ad.transpose(w, (1, 0))), b)
 
 
-@pytest.mark.parametrize("x_shape,out_dim", [((2, 12, 64), 64), ((8, 64, 128), 512)])
-def test_linear_bitwise_equals_three_node_graph(x_shape, out_dim):
+# The configs the runs train: the default char-LM model (lm-seft, and with
+# rank-32 adapters lm-lora-star) and the criterion-1 copy model (copy-evolve).
+DEFAULT_RUN = TrainConfig(corpus="corpus.txt")
+LORA_STAR_RUN = TrainConfig(corpus="corpus.txt", method="lora-star", rank=32)
+COPY_RUN = TrainConfig(task="copy", vocab=32, dim=64, context=12, ff_mult=2, batch_size=2, rank=8)
+
+
+def _run_linear_shapes() -> list:
+    """(x shape, out dim) of every distinct ``linear`` a training micro-batch makes, by run."""
+    shapes = []
+    for run, cfg, lora in (("default", DEFAULT_RUN, False), ("lora-star", LORA_STAR_RUN, True), ("copy", COPY_RUN, False)):
+        tree, _ = build_transformer(cfg.model_config())
+        adapters = build_adapters(tree, cfg.rank) if lora else {}
+        lead = (cfg.batch_size, cfg.context)
+        for name, w in tree.named_prunable():
+            # the frozen base matrix is the default run's; an adapter adds (x @ A.T) @ B.T
+            mats = (adapters[name].a.data, adapters[name].b.data) if lora else (w.data,)
+            for m in mats:
+                x_shape, out_dim = lead + (m.shape[1],), m.shape[0]
+                shape_id = f"{run}-{'x'.join(map(str, x_shape))}-{out_dim}"
+                if shape_id not in [p.id for p in shapes]:
+                    shapes.append(pytest.param(x_shape, out_dim, id=shape_id))
+    return shapes
+
+
+RUN_LINEAR_SHAPES = _run_linear_shapes()
+
+
+def test_run_linear_shapes_lie_on_both_sides_of_the_flatten_bound():
+    flattened = {x[-2] * x[-1] * out > ad._FLAT_GEMM_MIN_MNK for x, out in (p.values for p in RUN_LINEAR_SHAPES)}
+    assert flattened == {True, False}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,out_dim", RUN_LINEAR_SHAPES)
+def test_linear_bitwise_equals_three_node_graph(x_shape, out_dim, dtype):
     rng = np.random.default_rng(31)
     in_dim = x_shape[-1]
-    xd = rng.normal(size=x_shape).astype(np.float32)
-    wd = rng.normal(0, 0.05, size=(out_dim, in_dim)).astype(np.float32)
-    bd = rng.normal(size=out_dim).astype(np.float32)
-    r = rng.normal(size=x_shape[:-1] + (out_dim,)).astype(np.float32)
+    xd = rng.normal(size=x_shape).astype(dtype)
+    wd = rng.normal(0, 0.05, size=(out_dim, in_dim)).astype(dtype)
+    bd = rng.normal(size=out_dim).astype(dtype)
+    r = rng.normal(size=x_shape[:-1] + (out_dim,)).astype(dtype)
     results = []
     for op in (ad.linear, _linear_reference):
         x, w, b = (Tensor(d.copy(), requires_grad=True) for d in (xd, wd, bd))
@@ -333,6 +372,32 @@ def test_leaf_grads_store_keeps_contributions_in_order():
     assert x.grad.tobytes() == ((x.data + x.data) + np.float32(3.0)).tobytes()
 
 
+def _readonly(*arrays):
+    """Make the arrays read-only, so an op that writes into an input or an incoming gradient raises."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for have, ref in zip(got, want):
+        assert have.dtype == ref.dtype and have.shape == ref.shape
+        assert have.tobytes() == ref.tobytes()
+
+
+def _run_and_vjp(op, tensors, args, g):
+    """The op's output and its VJP of ``g``, recorded; then its output again, forward-only."""
+    with Tape():
+        out = op(*tensors, *args)
+        got = (out.data, *(v for v in out.node.vjp(g) if v is not None))
+    untracked = [Tensor(t.data) for t in tensors]
+    return got, op(*untracked, *args).data
+
+
+# Activation shapes of one micro-batch under the configs the runs train.
+RUN_CONFIGS = {"default": DEFAULT_RUN, "copy": COPY_RUN}
+
+
 def reference_layer_norm(x, gd, bd, g, eps=1e-5):
     """Layer norm and its VJP written with ``ndarray.mean``: the bitwise reference."""
     d = x.shape[-1]
@@ -346,19 +411,117 @@ def reference_layer_norm(x, gd, bd, g, eps=1e-5):
     return xhat * gd + bd, ga, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
 
+LAYER_NORM_SHAPES = [pytest.param((3, 7, d), id=str(d)) for d in (100, 333)] + [
+    pytest.param((c.batch_size, c.context, c.dim), id=run) for run, c in RUN_CONFIGS.items()
+]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("d", [100, 333])
-def test_layer_norm_forward_and_vjp_bitwise_equal_the_mean_reference(dtype, d):
+@pytest.mark.parametrize("shape", LAYER_NORM_SHAPES)
+def test_layer_norm_forward_and_vjp_bitwise_equal_the_mean_reference(dtype, shape):
+    d = shape[-1]
     rng = np.random.default_rng(d)
-    x = (rng.normal(size=(3, 7, d)) * 2.5 + 0.3).astype(dtype)
+    x = (rng.normal(size=shape) * 2.5 + 0.3).astype(dtype)
     gd, bd = rng.normal(size=d).astype(dtype), rng.normal(size=d).astype(dtype)
     g = rng.normal(size=x.shape).astype(dtype)
-    a, gain, bias = Tensor(x, requires_grad=True), Tensor(gd, requires_grad=True), Tensor(bd, requires_grad=True)
-    with Tape():
-        out = ad.layer_norm(a, gain, bias)
-        got = (out.data, *out.node.vjp(g))
-    for have, want in zip(got, reference_layer_norm(x, gd, bd, g)):
-        assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+    want = reference_layer_norm(x, gd, bd, g)
+    _readonly(x, gd, bd, g)
+    tensors = [Tensor(x, requires_grad=True), Tensor(gd, requires_grad=True), Tensor(bd, requires_grad=True)]
+    got, forward_only = _run_and_vjp(ad.layer_norm, tensors, (), g)
+    _bitwise_equal(got, want)
+    _bitwise_equal([forward_only], want[:1])
+    tensors[0] = Tensor(x)  # an untracked input: the gain gradient takes a buffer of its own
+    got, _ = _run_and_vjp(ad.layer_norm, tensors, (), g)
+    _bitwise_equal(got, (want[0], *want[2:]))
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def reference_gelu(x, g):
+    """GELU and its VJP as allocating expressions: the bitwise reference."""
+    x2 = x * x
+    inner = _GELU_C * (x + 0.044715 * (x2 * x))
+    t = np.tanh(inner)
+    sech2 = 1.0 - t * t
+    d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x2)
+    return 0.5 * x * (1.0 + t), g * d
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("run", sorted(RUN_CONFIGS))
+def test_gelu_forward_and_vjp_bitwise_equal_the_reference(run, dtype):
+    cfg = RUN_CONFIGS[run]
+    rng = np.random.default_rng(41)
+    shape = (cfg.batch_size, cfg.context, cfg.ff_mult * cfg.dim)
+    x = (rng.normal(size=shape) * 3.0).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    want = reference_gelu(x, g)
+    _readonly(x, g)
+    got, forward_only = _run_and_vjp(ad.gelu, [Tensor(x, requires_grad=True)], (), g)
+    _bitwise_equal(got, want)
+    _bitwise_equal([forward_only], want[:1])
+
+
+def reference_softmax(x, mask, g):
+    """Row softmax and its VJP as allocating expressions: the bitwise reference."""
+    x = x if mask is None else x + mask
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("causal", [True, False])
+@pytest.mark.parametrize("run", sorted(RUN_CONFIGS))
+def test_softmax_forward_and_vjp_bitwise_equal_the_reference(run, causal, dtype):
+    cfg = RUN_CONFIGS[run]
+    rng = np.random.default_rng(43)
+    shape = (cfg.batch_size, cfg.heads, cfg.context, cfg.context)
+    x = (rng.normal(size=shape) * 2.0).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    mask = _causal_mask(cfg.context, dtype) if causal else None  # read-only already
+    want = reference_softmax(x, mask, g)
+    _readonly(x, g)
+    got, forward_only = _run_and_vjp(ad.softmax, [Tensor(x, requires_grad=True)], (mask,), g)
+    _bitwise_equal(got, want)
+    _bitwise_equal([forward_only], want[:1])
+
+
+def reference_cross_entropy(logits, targets, ignore_index, g):
+    """Mean NLL and its VJP as allocating expressions: the bitwise reference."""
+    n = logits.shape[0]
+    valid = targets != ignore_index
+    n_valid = int(valid.sum())
+    safe_t = np.where(valid, targets, 0)
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    logp = z - lse
+    rows = np.arange(n)
+    nll = -logp[rows, safe_t]
+    loss = np.asarray((nll * valid).sum() / n_valid, dtype=logits.dtype)
+    p = np.exp(logp)
+    p[rows, safe_t] -= 1.0
+    p[~valid] = 0.0
+    return loss, p * (g / n_valid)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("run", sorted(RUN_CONFIGS))
+def test_cross_entropy_forward_and_vjp_bitwise_equal_the_reference(run, dtype):
+    cfg = RUN_CONFIGS[run]
+    rng = np.random.default_rng(47)
+    n = cfg.batch_size * cfg.context
+    logits = (rng.normal(size=(n, cfg.vocab)) * 4.0).astype(dtype)
+    targets = rng.integers(0, cfg.vocab, size=n)
+    targets[rng.random(n) < 0.25] = -1  # ignored rows
+    g = np.asarray(rng.uniform(0.5, 2.0), dtype=dtype)
+    want = reference_cross_entropy(logits, targets, -1, g)
+    _readonly(logits, targets, g)
+    got, forward_only = _run_and_vjp(ad.cross_entropy, [Tensor(logits, requires_grad=True)], (targets, -1), g)
+    _bitwise_equal(got, want)
+    _bitwise_equal([forward_only], want[:1])
 
 
 @pytest.mark.parametrize("axes", [(1, 0), (0, 2, 1, 3), (2, 0, 3, 1), (-1, 0, 1)])

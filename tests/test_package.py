@@ -133,7 +133,6 @@ def test_micro_batch_threads_share_one_malloc_arena(order, tmp_path):
 UNREFERENCED_ALLOWED = {
     "sum_all": "engine op the README lists; the autodiff tests reduce a graph to a scalar with it",
     "scatter_add": "engine op the README lists; the gradient tests check its VJP",
-    "grad_check": "the finite-difference gradient checker the README documents; criterion 4 runs it",
     "build_mlp": "the MLP model the README documents; the pruning and autodiff tests build it",
 }
 
@@ -214,7 +213,6 @@ def test_dead_code_allowlist_names_live_definitions():
 # that no call in src/ or bench/ passes, each with the reason it stays. A key
 # is "function" (every such parameter of it) or "function.parameter".
 UNSET_DEFAULTS_ALLOWED = {
-    "grad_check": "the finite-difference checker's step, tolerance, sample count and generator; criterion 4 and the autodiff tests set them",
     "build_mlp": "the MLP model the README documents; the pruning and autodiff tests choose its seed and dtype",
     "init_support.dtype": "float64 deltas for the finite-difference and bitwise-threading tests; training runs float32",
     "build_adapters.dtype": "float64 adapters for the bitwise-threading tests; training runs float32",
