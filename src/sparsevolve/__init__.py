@@ -70,13 +70,16 @@ def _openblas_fn(name: str, argtypes: list, restype):
     return None
 
 
+# Looked up once: each lookup globs numpy.libs and loads the library again.
+_get_threads = _openblas_fn("get_num_threads", [], _ctypes.c_int)
+_set_threads = _openblas_fn("set_num_threads", [_ctypes.c_int], None)
+
+
 def blas_threads() -> int | None:
     """Thread count numpy's bundled OpenBLAS reports now; None without such a library."""
-    get = _openblas_fn("get_num_threads", [], _ctypes.c_int)
-    return None if get is None else int(get())
+    return None if _get_threads is None else int(_get_threads())
 
 
-_set_threads = _openblas_fn("set_num_threads", [_ctypes.c_int], None)
 if _set_threads is not None:
     _set_threads(1)
 else:

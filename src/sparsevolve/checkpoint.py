@@ -242,9 +242,9 @@ def load_into(tree: ParamTree, path: str) -> LoadedState:
 
 
 def save_meta(path: str, meta: dict) -> None:
+    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"  # one write: json.dump writes each token
     with open(path + ".json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)
 
 
 def load_meta(path: str) -> dict:

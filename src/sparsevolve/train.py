@@ -143,7 +143,8 @@ class TrainConfig:
         return self.out_dir or os.environ.get(OUT_ENV, ".")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # every field is a scalar or a string: no deep copy (dataclasses.asdict) needed
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @staticmethod
     def _expand_nm(d: dict) -> dict:
@@ -204,7 +205,11 @@ class TrainResult:
 
 
 class MetricsWriter:
-    """Single CSV with a fixed header; one row kind per event type."""
+    """Single CSV with a fixed header; one row kind per event type.
+
+    Rows are buffered, not flushed one by one: ``close`` (which ``train``
+    calls in a ``finally``) writes what is left, also when the run raises.
+    """
 
     BASE_COLS = [
         "kind",
@@ -240,7 +245,6 @@ class MetricsWriter:
     def row(self, kind: str, **values) -> None:
         values["kind"] = kind
         self._f.write(",".join(self._fmt(values.get(c)) for c in self.cols) + "\n")
-        self._f.flush()
 
     def close(self) -> None:
         self._f.close()

@@ -114,6 +114,22 @@ def test_nan_loss_aborts_with_numeric_failure(tmp_path):
         train(cfg_for(tmp_path, lr=1e30, steps=10, run_name="nan"))
 
 
+def test_aborted_run_keeps_its_metrics_rows(tmp_path):
+    # rows are buffered, not flushed one by one; train closes the writer in a finally
+    with pytest.raises(NumericFailure):
+        train(cfg_for(tmp_path, lr=1e30, steps=10, run_name="nan"))
+    rows = (tmp_path / "nan.metrics.csv").read_text(encoding="utf-8").strip().split("\n")
+    assert rows[0].startswith("kind,step,")
+    assert rows[1].startswith("eval,0,")
+
+
+def test_config_dict_equals_asdict(tmp_path):
+    import dataclasses
+
+    cfg = cfg_for(tmp_path, pattern="nm", nm_n=2, nm_m=4, sparsity=0.5, run_name="d")
+    assert list(cfg.to_dict().items()) == list(dataclasses.asdict(cfg).items())
+
+
 def test_structured_mode_trains(tmp_path):
     res = train(cfg_for(tmp_path, pattern="nm", nm_n=2, nm_m=4, sparsity=0.5, rank=4, run_name="nm"))
     report = ck.inspect_checkpoint(res.checkpoint, nm=(2, 4))
