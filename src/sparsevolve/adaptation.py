@@ -191,7 +191,6 @@ class AdaptationReport:
     pruned_base: int = 0
     pruned_delta: int = 0
     repaired: int = 0
-    under_budget: int = 0  # tensors whose support was already below budget before the trim (normal after drops)
     merged_sparsity: float = 0.0
     per_tensor_sparsity: dict[str, float] = field(default_factory=dict)
 
@@ -222,7 +221,6 @@ def adaptation_step(
     report = AdaptationReport(step=step)
     for name in delta.slices:
         coords, scores = scored[name]
-        report.under_budget += int(coords.size < keep_budget(masks[name].bits.size, sparsity))
         pb, pd = rebuild_mask(coords, scores, sparsity, masks[name], edits[name], base[name])
         report.pruned_base += pb
         report.pruned_delta += pd

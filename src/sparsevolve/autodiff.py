@@ -112,9 +112,6 @@ class Tape:
         _tape_stack().pop()
         return False
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
 
 _LOCAL = threading.local()
 

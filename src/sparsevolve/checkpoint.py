@@ -47,13 +47,6 @@ class Record:
     indices: np.ndarray | None = None  # kind 2
     values: np.ndarray | None = None  # kind 2
 
-    @property
-    def numel(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n
-
 
 def _encode_record(rec: Record) -> bytes:
     name_b = rec.name.encode("utf-8")
@@ -195,6 +188,17 @@ class LoadedState:
     masks: dict[str, np.ndarray] = field(default_factory=dict)
     deltas: dict[str, TensorDelta] = field(default_factory=dict)
 
+    def merged(self) -> dict[str, np.ndarray]:
+        """Every dense record, each masked tensor replaced by its masked base plus its delta.
+
+        The one merge of a checkpoint: ``merge`` writes it and ``eval`` loads it.
+        """
+        base = masked_base(self.dense, {name: Mask(name, bits) for name, bits in self.masks.items()})
+        return {
+            name: effective_weights(base[name], self.deltas.get(name)) if name in base else dense
+            for name, dense in self.dense.items()
+        }
+
 
 def load_state(path: str) -> LoadedState:
     """The checkpoint's records by kind and name.
@@ -225,20 +229,19 @@ def load_state(path: str) -> LoadedState:
     return state
 
 
-def load_into(tree: ParamTree, path: str) -> LoadedState:
-    """Copy the checkpoint's dense record of every tree tensor into the tree; returns the whole state.
+def load_into(tree: ParamTree, weights: dict[str, np.ndarray], path: str) -> None:
+    """Copy ``weights``, read from the checkpoint at ``path``, into every tree tensor.
 
-    Raises ValueError when a tree tensor has no dense record or its shape differs.
+    Raises ValueError, naming ``path``, when a tree tensor has no entry in
+    ``weights`` or its shape differs.
     """
-    state = load_state(path)
     for name, tensor in tree.items():
-        arr = state.dense.get(name)
+        arr = weights.get(name)
         if arr is None:
             raise ValueError(f"checkpoint {path} missing tensor {name}")
         if arr.shape != tensor.data.shape:
             raise ValueError(f"checkpoint {path} shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}")
         tensor.data = arr.astype(tensor.data.dtype)
-    return state
 
 
 def save_meta(path: str, meta: dict) -> None:
@@ -253,15 +256,9 @@ def load_meta(path: str) -> dict:
 
 
 def merge_checkpoint(in_path: str, out_path: str) -> None:
-    """Materialize masked-base-plus-delta into explicit dense records."""
-    state = load_state(in_path)
-    base = masked_base(state.dense, {name: Mask(name, bits) for name, bits in state.masks.items()})
-    records: list[Record] = []
-    for name, dense in state.dense.items():
-        if name in base:
-            dense = effective_weights(base[name], state.deltas.get(name))
-        records.append(Record(name, KIND_DENSE, dense.shape, dense=dense))
-    write_checkpoint(out_path, records)
+    """Write the checkpoint's ``LoadedState.merged`` weights as dense records."""
+    merged = load_state(in_path).merged()
+    write_checkpoint(out_path, [Record(name, KIND_DENSE, w.shape, dense=w) for name, w in merged.items()])
     if os.path.exists(in_path + ".json"):
         meta = load_meta(in_path)
         meta["merged"] = True
@@ -284,10 +281,6 @@ class InspectReport:
     global_sparsity: float | None
     delta_support: int
     nm_violations: list[tuple[str, int, int]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.nm_violations
 
 
 def inspect_checkpoint(path: str, nm: tuple[int, int] | None = None) -> InspectReport:

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import make_task
-from .delta import SparseDelta, materialize
+from .delta import materialize  # noqa: F401  unused here; only bench/tracing.py patches it
+from .lora import adapters_from_records
 from .models import ModelConfig, build_transformer
-from .pruning import Mask, masked_base
 from .train import NumericFailure, TrainConfig, evaluate_ppl, train
 
 EXIT_OK = 0
@@ -96,36 +96,13 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     mc, cfg = _model_from_meta(args.checkpoint)
     tree, forward = build_transformer(mc, dtype=np.float32)
-    state = ckpt.load_into(tree, args.checkpoint)
-    if state.masks:
-        masks = {n: Mask(n, b.astype(bool)) for n, b in state.masks.items()}
-        base = masked_base({n: tree[n].data for n in masks}, masks)
-        delta = None
-        if state.deltas:
-            delta = SparseDelta({n: len(td) for n, td in state.deltas.items()})
-            delta.slices = dict(state.deltas)
-        materialize(tree, base, delta)
-    adapters = _adapters_from_records(state.dense, cfg.rank)
+    state = ckpt.load_state(args.checkpoint)
+    ckpt.load_into(tree, state.merged(), args.checkpoint)
     corpus = args.corpus or cfg.corpus
     task = make_task(cfg.task, cfg.context, cfg.batch_size, cfg.seed, corpus=corpus, copy_vocab=cfg.copy_vocab)
-    ppl = evaluate_ppl(forward, tree, task.val_batches, mc.vocab, adapters=adapters)
+    ppl = evaluate_ppl(forward, tree, task.val_batches, mc.vocab, adapters=adapters_from_records(state.dense))
     print(f"val perplexity {ppl:.6f}")
     return EXIT_OK
-
-
-def _adapters_from_records(dense: dict, rank: int):
-    """Rebuild adapters stored as `<name>.lora_a` / `<name>.lora_b` dense records."""
-    from .autodiff import Tensor
-    from .lora import LoraAdapter
-
-    adapters = {}
-    for key, arr in dense.items():
-        if key.endswith(".lora_a"):
-            name = key[: -len(".lora_a")]
-            b = dense.get(name + ".lora_b")
-            if b is not None:
-                adapters[name] = LoraAdapter(name, Tensor(arr), Tensor(b), rank=rank)
-    return adapters or None
 
 
 def cmd_merge(args) -> int:

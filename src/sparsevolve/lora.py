@@ -4,7 +4,9 @@ Standard LoRA (adapters ride on frozen sparse matrices) and the merge-then-
 re-prune variant that restores the sparsity budget after fine-tuning. The
 adapter parameter count at rank r is r*(rows+cols) per target matrix, the
 same formula the sparse-delta budget uses, so the two methods always train
-the same number of parameters.
+the same number of parameters. A checkpoint stores each adapter as two dense
+records, ``<name>.lora_a`` and ``<name>.lora_b``; this module writes and reads
+that format.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from .pruning import collect_activation_norms  # noqa: F401  unused here; only b
 class LoraAdapter:
     """Down/up projection pair for one target matrix; only these train."""
 
-    name: str
     a: Tensor  # [rank, in_dim]
     b: Tensor  # [out_dim, rank], zero-initialized so the adapter starts silent
-    rank: int
 
     def param_count(self) -> int:
         return self.a.data.size + self.b.data.size
@@ -45,7 +45,26 @@ def build_adapters(tree: ParamTree, rank: int, seed: int = 0, dtype=np.float32) 
         out_dim, in_dim = tensor.data.shape
         a = Tensor(rng.normal(0.0, INIT_STD, size=(rank, in_dim)).astype(dtype), requires_grad=True)
         b = Tensor(np.zeros((out_dim, rank), dtype=dtype), requires_grad=True)
-        adapters[name] = LoraAdapter(name=name, a=a, b=b, rank=rank)
+        adapters[name] = LoraAdapter(a=a, b=b)
+    return adapters
+
+
+def adapter_records(adapters: dict[str, LoraAdapter]) -> dict[str, np.ndarray]:
+    """The adapters as dense checkpoint records, ``<name>.lora_a`` and ``<name>.lora_b`` each."""
+    records = {}
+    for name, adapter in adapters.items():
+        records[f"{name}.lora_a"] = adapter.a.data
+        records[f"{name}.lora_b"] = adapter.b.data
+    return records
+
+
+def adapters_from_records(dense: dict[str, np.ndarray]) -> dict[str, LoraAdapter]:
+    """The adapters that ``adapter_records`` wrote, rebuilt from a checkpoint's dense records."""
+    adapters = {}
+    for key, a in dense.items():
+        name = key.removesuffix(".lora_a")
+        if name != key and f"{name}.lora_b" in dense:
+            adapters[name] = LoraAdapter(Tensor(a), Tensor(dense[f"{name}.lora_b"]))
     return adapters
 
 

@@ -69,9 +69,6 @@ class ParamTree:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self) -> list[tuple[str, Tensor]]:
         return list(self._params.items())
 

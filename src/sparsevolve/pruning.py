@@ -33,12 +33,6 @@ class Mask:
     name: str
     bits: np.ndarray  # bool, same shape as the weight matrix
 
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
-    def sparsity(self) -> float:
-        return 1.0 - self.popcount() / self.bits.size
-
     def nm_violations(self, n: int, m: int) -> list[tuple[int, int]]:
         """(row, group) offsets of aligned groups with more than n set bits."""
         if m <= 0:

@@ -54,7 +54,7 @@ from .delta import (
     materialize,
 )
 from .evolution import EvolutionReport, EvolutionSchedule, GradAccumulator, drop_quota, evolve
-from .lora import build_adapters, merge_and_reprune, trainable_count
+from .lora import adapter_records, build_adapters, merge_and_reprune, trainable_count
 from .models import ModelConfig, ParamTree, build_transformer
 from .pruning import Mask, apply_mask, masked_base, prune_model
 
@@ -298,12 +298,12 @@ def evaluate_ppl(forward, tree: ParamTree, val_batches, vocab: int, adapters=Non
 
 
 def _prune(cfg: TrainConfig, tree: ParamTree, forward, task: Task) -> tuple[dict[str, Mask], dict[str, np.ndarray]]:
-    base_masks = None
     if cfg.base_checkpoint:
-        base_masks = ckpt.load_into(tree, cfg.base_checkpoint).masks
-    if base_masks:
-        masks = {name: Mask(name, bits.astype(bool)) for name, bits in base_masks.items()}
-        return masks, apply_mask(tree, masks)
+        state = ckpt.load_state(cfg.base_checkpoint)
+        ckpt.load_into(tree, state.dense, cfg.base_checkpoint)
+        if state.masks:
+            masks = {name: Mask(name, bits) for name, bits in state.masks.items()}
+            return masks, apply_mask(tree, masks)
     calib = task.calib(cfg.calib_batches)
     return prune_model(
         tree,
@@ -376,7 +376,7 @@ def train(cfg: TrainConfig, on_event=None) -> TrainResult:
     try:
         if cfg.method == "frozen" or cfg.steps == 0:
             eval_row(0, None, None)
-            _save_state(cfg, tree, theta, masks, None, ckpt_path, result)
+            _save_state(cfg, tree, task, theta, masks, None, ckpt_path, result)
             return result
 
         eval_row(0, None, None)
@@ -393,11 +393,6 @@ def train(cfg: TrainConfig, on_event=None) -> TrainResult:
 
 def _make_task_for(cfg: TrainConfig) -> Task:
     return make_task(cfg.task, cfg.context, cfg.batch_size, cfg.seed, corpus=cfg.corpus, copy_vocab=cfg.copy_vocab)
-
-
-def _micro_batch_elements(cfg: TrainConfig) -> int:
-    """Activation elements of one micro-batch, per layer: at most batch tokens times width."""
-    return cfg.batch_size * cfg.context * cfg.dim
 
 
 def _micro_batch(forward, tree, adapters, vocab: int, batch) -> tuple[float, dict]:
@@ -423,7 +418,7 @@ def _backward_pass(cfg: TrainConfig, tree, forward, task, rng, vocab: int, adapt
     batches = [task.train_batch(rng) for _ in range(cfg.grad_accum)]
     run = functools.partial(_micro_batch, forward, tree, adapters, vocab)
     loss_sum = 0.0
-    for loss, leaf_grads in parallel.ordered_map(run, batches, _micro_batch_elements(cfg)):
+    for loss, leaf_grads in parallel.ordered_map(run, batches, parallel.batch_elements(tree, batches[0][0])):
         loss_sum += loss
         ad.accumulate(leaf_grads)
         del leaf_grads  # not kept alive while waiting for the next micro-batch
@@ -515,7 +510,7 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
         if step == cfg.steps or (cfg.eval_every and step % cfg.eval_every == 0):
             eval_row(step, train_loss, delta, quota=drop_quota(step, schedule, delta.budget_total))
 
-    _save_state(cfg, tree, theta, masks, delta, result.checkpoint, result)
+    _save_state(cfg, tree, task, theta, masks, delta, result.checkpoint, result)
 
 
 def _train_lora(cfg, tree, forward, task, rng, masks, theta, metrics, timings, eval_row, result):
@@ -547,16 +542,12 @@ def _train_lora(cfg, tree, forward, task, rng, masks, theta, metrics, timings, e
         masks.clear()
         masks.update(new_masks)
         eval_row(cfg.steps, train_loss, None)
-        _save_state(cfg, tree, theta, masks, None, result.checkpoint, result)
+        _save_state(cfg, tree, task, theta, masks, None, result.checkpoint, result)
     else:
-        extra = {}
-        for name, a in adapters.items():
-            extra[f"{name}.lora_a"] = a.a.data
-            extra[f"{name}.lora_b"] = a.b.data
-        _save_state(cfg, tree, theta, masks, None, result.checkpoint, result, extra_dense=extra)
+        _save_state(cfg, tree, task, theta, masks, None, result.checkpoint, result, extra_dense=adapter_records(adapters))
 
 
-def _save_state(cfg, tree, theta, masks, delta, path, result, extra_dense=None):
+def _save_state(cfg, tree, task, theta, masks, delta, path, result, extra_dense=None):
     records = ckpt.state_records(tree, theta, masks, delta, extra_dense=extra_dense)
     ckpt.write_checkpoint(path, records)
     meta = {
@@ -565,7 +556,9 @@ def _save_state(cfg, tree, theta, masks, delta, path, result, extra_dense=None):
         "final_sparsity": result.final_sparsity,
         "trainable_params": result.trainable_params,
         "blas_threads": blas_threads(),
-        "micro_batch_workers": parallel.workers(cfg.grad_accum, _micro_batch_elements(cfg)),
+        # the step's rule, on a validation batch: shaped as a training batch unless a corpus's
+        # validation split holds fewer windows than one batch
+        "micro_batch_workers": parallel.workers(cfg.grad_accum, parallel.batch_elements(tree, task.val_batches[0][0])),
         "malloc_tuned": malloc_tuned(),
     }
     ckpt.save_meta(path, meta)

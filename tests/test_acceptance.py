@@ -355,7 +355,7 @@ def test_criterion_5_nm_feasibility(tmp_path):
     )
     res = train(cfg, on_event=check)
     rep = ck.inspect_checkpoint(res.checkpoint, nm=(2, 4))
-    ok = not violations and rep.ok and events == 100
+    ok = not violations and not rep.nm_violations and events == 100
     report(5, ok, f"zero violations across {events} evolve+adapt cycles of a 1000-step 2:4 run", t0)
 
 
@@ -499,7 +499,7 @@ def test_criterion_10_lora_star_pipeline():
         a = Tensor(rng.normal(0, 0.02, size=(r, in_d)).astype(np.float32))
         b = Tensor(rng.normal(0, 0.02, size=(out_d, r)).astype(np.float32))
         x = Tensor(rng.normal(size=(n, in_d)).astype(np.float32))
-        got = _linear(x, w, None, LoraAdapter("t", a, b, rank=int(r))).data
+        got = _linear(x, w, None, LoraAdapter(a, b)).data
         want = x.data @ (w.data + b.data @ a.data).T
         worst = max(worst, float(np.abs(got - want).max()))
     assert worst <= 1e-6
@@ -514,10 +514,10 @@ def test_criterion_10_lora_star_pipeline():
         ad_.b.data = rng.normal(0, 0.05, size=ad_.b.data.shape).astype(np.float32)
     new_masks, merged = merge_and_reprune(tree, forward, masks, adapters, [ids], 0.5)
     exact = all(
-        m.popcount() == m.bits.shape[0] * (m.bits.shape[1] - int(np.floor(0.5 * m.bits.shape[1])))
+        int(m.bits.sum()) == m.bits.shape[0] * (m.bits.shape[1] - int(np.floor(0.5 * m.bits.shape[1])))
         for m in new_masks.values()
     )
-    live_matches = all(int(np.count_nonzero(tree[n].data)) == new_masks[n].popcount() for n in new_masks)
+    live_matches = all(int(np.count_nonzero(tree[n].data)) == int(new_masks[n].bits.sum()) for n in new_masks)
     report(10, exact and live_matches, f"reprune popcount exact; adapter forward max|diff| {worst:.2e} <= 1e-6", t0)
 
 

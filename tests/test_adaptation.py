@@ -196,13 +196,13 @@ def test_rebuild_below_budget_is_noop_logged_at_debug(caplog):
     np.testing.assert_array_equal(np.flatnonzero(mask.bits), [0, 1])
 
 
-def test_adaptation_counts_under_budget_tensors():
+def test_adaptation_repairs_under_budget_tensors():
     theta, mask, d = state(10, [0, 1], [5], [0.5], budget=4)  # support 3, keep budget 5
     window = {"t": np.arange(10, dtype=np.float64).reshape(1, 10)}
     rep = adapt(window, theta, mask, d, None, 0.5, step=10)
-    assert rep.under_budget == 1 and rep.repaired == 2
-    theta, mask, d = state(10, range(5), [6], [0.5], budget=1)  # support 6: trimmed, not under
-    assert adapt(window, theta, mask, d, None, 0.5).under_budget == 0
+    assert rep.repaired == 2
+    theta, mask, d = state(10, range(5), [6], [0.5], budget=1)  # support 6: trimmed, not repaired
+    assert adapt(window, theta, mask, d, None, 0.5).repaired == 0
 
 
 def test_rebuild_never_creates_support():

@@ -56,12 +56,13 @@ def test_loaded_state_matches_source(tmp_path):
         np.testing.assert_array_equal(state.deltas[name].values, delta.slices[name].values)
 
 
-def test_load_into_copies_dense_records_and_returns_the_state(tmp_path):
+def test_load_into_copies_the_given_weights_in_the_trees_dtype(tmp_path):
     cfg, tree, _, masks, theta, delta, _ = make_state()
     p = str(tmp_path / "into.ckpt")
     ck.write_checkpoint(p, ck.state_records(tree, theta, masks, delta))
     tree2, _ = build_transformer(cfg, dtype=np.float64)
-    state = ck.load_into(tree2, p)
+    state = ck.load_state(p)
+    ck.load_into(tree2, state.dense, p)
     for name, t in tree2.items():
         assert t.data.dtype == np.float64
         np.testing.assert_array_equal(t.data, state.dense[name])
@@ -73,12 +74,12 @@ def test_load_into_rejects_missing_and_misshapen_tensors(tmp_path):
     p = str(tmp_path / "bad.ckpt")
     records = ck.state_records(tree)
     ck.write_checkpoint(p, records[1:])
-    with pytest.raises(ValueError, match=f"missing tensor {records[0].name}"):
-        ck.load_into(build_transformer(cfg)[0], p)
+    with pytest.raises(ValueError, match=f"checkpoint {p} missing tensor {records[0].name}"):
+        ck.load_into(build_transformer(cfg)[0], ck.load_state(p).dense, p)
     wide = build_transformer(ModelConfig(vocab=16, dim=128, heads=4, blocks=1, context=4))[0]
     ck.write_checkpoint(p, records)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        ck.load_into(wide, p)
+    with pytest.raises(ValueError, match=f"checkpoint {p} shape mismatch"):
+        ck.load_into(wide, ck.load_state(p).dense, p)
 
 
 def test_delta_payload_layout(tmp_path):
@@ -184,9 +185,7 @@ def test_merged_forward_equals_effective_weights_forward(tmp_path):
     ck.write_checkpoint(p, ck.state_records(tree, theta, masks, delta))
     ck.merge_checkpoint(p, pm)
     tree2, forward2 = build_transformer(cfg)
-    merged = ck.load_state(pm)
-    for name, t in tree2.items():
-        t.data = merged.dense[name].astype(t.data.dtype)
+    ck.load_into(tree2, ck.load_state(pm).dense, pm)
     np.testing.assert_allclose(forward2(tree2, ids).data, train_logits, atol=1e-6)
 
 
@@ -198,7 +197,7 @@ def test_inspect_valid_24_checkpoint(tmp_path):
     p = str(tmp_path / "l.ckpt")
     ck.write_checkpoint(p, ck.state_records(tree, theta, masks, None))
     report = ck.inspect_checkpoint(p, nm=(2, 4))
-    assert report.ok
+    assert not report.nm_violations
     assert report.global_sparsity == pytest.approx(0.5)
 
 
@@ -211,7 +210,7 @@ def test_inspect_flags_planted_nm_violation(tmp_path):
     p = str(tmp_path / "m.ckpt")
     ck.write_checkpoint(p, ck.state_records(tree, theta, masks, None))
     report = ck.inspect_checkpoint(p, nm=(2, 4))
-    assert not report.ok
+    assert report.nm_violations
     assert ("block0.attn.wq", 0, 0) in report.nm_violations
 
 

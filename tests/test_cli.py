@@ -121,13 +121,16 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     assert os.path.exists(tmp_path / "envrun.ckpt")
 
 
-def test_eval_lora_checkpoint_uses_adapters(tmp_path, capsys):
-    run(["finetune", *BASE, "--method", "lora", "--out-dir", str(tmp_path), "--run-name", "lr1"])
-    meta = json.load(open(tmp_path / "lr1.ckpt.json"))
-    assert run(["eval", str(tmp_path / "lr1.ckpt")]) == EXIT_OK
-    out = capsys.readouterr().out
-    ppl = float(out.strip().split()[-1])
-    assert ppl == pytest.approx(meta["final_ppl"], rel=1e-6)
+@pytest.mark.parametrize("method", ["seft", "lora", "lora-star"])
+def test_eval_prints_the_final_ppl_of_a_checkpoint_and_its_merge(tmp_path, capsys, method):
+    ckpt, merged = str(tmp_path / "m.ckpt"), str(tmp_path / "m-merged.ckpt")
+    assert run(["finetune", *BASE, "--method", method, "--out-dir", str(tmp_path), "--run-name", "m"]) == EXIT_OK
+    assert run(["merge", ckpt, "--out", merged]) == EXIT_OK
+    want = f"val perplexity {json.load(open(ckpt + '.json'))['final_ppl']:.6f}"
+    for path in (ckpt, merged):
+        capsys.readouterr()
+        assert run(["eval", path]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == want, path
 
 
 def test_ablate_adaptation_grid(tmp_path):

@@ -119,7 +119,6 @@ def ref_adaptation_step(window, theta, masks, delta, optim, sparsity, step, crit
     for name, td in delta.slices.items():
         coords, scores = scored[name]
         budget = keep_budget(masks[name].bits.size, sparsity)
-        report.under_budget += int(coords.size < budget)
         if coords.size <= budget:
             continue
         kept = np.zeros(coords.size, dtype=bool)

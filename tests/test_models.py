@@ -36,7 +36,7 @@ def test_fixed_seed_bitwise_identical_init():
     cfg = ModelConfig(vocab=64, dim=64, heads=2, blocks=2, context=8, seed=42)
     t1, _ = build_transformer(cfg)
     t2, _ = build_transformer(cfg)
-    assert t1.names() == t2.names()
+    assert [n for n, _ in t1.items()] == [n for n, _ in t2.items()]
     for name, tensor in t1.items():
         np.testing.assert_array_equal(tensor.data, t2[name].data)
 

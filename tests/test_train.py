@@ -133,7 +133,7 @@ def test_config_dict_equals_asdict(tmp_path):
 def test_structured_mode_trains(tmp_path):
     res = train(cfg_for(tmp_path, pattern="nm", nm_n=2, nm_m=4, sparsity=0.5, rank=4, run_name="nm"))
     report = ck.inspect_checkpoint(res.checkpoint, nm=(2, 4))
-    assert report.ok
+    assert not report.nm_violations
 
 
 def test_checkpoint_meta_written(tmp_path):
@@ -160,6 +160,16 @@ def test_micro_batch_workers_rule():
         assert parallel.workers(n, parallel.INLINE_BELOW - 1) == 1
         assert parallel.workers(n, parallel.INLINE_BELOW) == min(n, cpus)
         assert parallel.workers(n, 10**9) == min(n, cpus)
+
+
+def test_modular_add_step_sizes_its_micro_batches_by_the_drawn_batch(tmp_path, monkeypatch):
+    # default dim 128 and batch 8, but a modular-add batch is 3 tokens wide: 8 x 3 x 128 = 3,072 elements
+    asked = []
+    workers = parallel.workers
+    monkeypatch.setattr(parallel, "workers", lambda n_items, elements: asked.append(elements) or workers(n_items, elements))
+    res = train(TrainConfig(task="modular-add", steps=1, eval_every=0, calib_batches=1, out_dir=str(tmp_path), run_name="mod"))
+    assert set(asked) == {3072}
+    assert json.load(open(res.checkpoint + ".json"))["micro_batch_workers"] == 1
 
 
 def test_copy_shaped_run_records_inline_micro_batches(tmp_path):
@@ -253,7 +263,7 @@ def test_lora_star_reprune_keeps_the_nm_pattern(tmp_path, monkeypatch):
     saved = ck.load_state(res.checkpoint).masks
     assert all(np.array_equal(saved[name], mask.bits) for name, mask in masks.items())
     report = ck.inspect_checkpoint(res.checkpoint, nm=(2, 4))
-    assert report.ok
+    assert not report.nm_violations
     assert report.global_sparsity == pytest.approx(0.5, abs=1e-12)
 
 
