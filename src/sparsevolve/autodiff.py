@@ -1,15 +1,17 @@
 """Minimal reverse-mode automatic differentiation over dense numpy tensors.
 
 Ops executed inside a ``with Tape():`` block are recorded; ``backward(loss)``
-then walks the recording in reverse and accumulates gradients into every
-reachable leaf (a tensor with ``requires_grad`` and no recording node).
+then walks the recording in reverse and returns, for every reachable leaf (a
+tensor with ``requires_grad`` and no recording node), its gradient
+contributions in the order the VJPs produced them. ``accumulate`` folds them
+into one gradient per leaf. No gradient is ever stored on a tensor.
 
 Backward releases the graph as it goes: once a node's VJP has run, the
 tensor drops its node, so its activations can be freed before ``backward``
-returns. Intermediate gradients are never stored on tensors, and a loss can
-be backpropagated only once. A tape holds its recorded tensors weakly: the
-graph is owned by the loss through each tensor's parents, so it is freed by
-reference count, without waiting for the cyclic garbage collector.
+returns, and a loss can be backpropagated only once. A tape holds its
+recorded tensors weakly: the graph is owned by the loss through each
+tensor's parents, so it is freed by reference count, without waiting for the
+cyclic garbage collector.
 
 Reductions are performed in numpy's fixed row-major order, so forward and
 backward results are bitwise reproducible for identical inputs on the same
@@ -21,10 +23,10 @@ gradient to both parents).
 
 Threading model: one tape is single-threaded, and the tape stack is
 thread-local, so independent graphs may be built and backpropagated on
-separate threads while they only read shared leaves. Such threads must not
-write ``.grad`` of a shared leaf: each passes its own ``leaf_grads`` store to
-``backward``, and the owner folds the stores in a fixed order with
-``accumulate``, which gives the same bits as one backward after another.
+separate threads while they only read shared leaves. Each ``backward``
+returns a store of its own and writes nothing shared; the owner folds the
+stores in a fixed order with ``accumulate``, which gives the same bits as one
+backward after another.
 Forward-only passes (evaluation, calibration) record nothing outside a tape
 and only read the parameters, so they may run on separate threads as well;
 their owner folds the per-batch results in batch order.
@@ -52,16 +54,15 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense array with an optional gradient slot."""
+    """A dense array, tracked for gradients when ``requires_grad`` is set."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         if self.data.dtype.kind not in "fc":
             self.data = self.data.astype(np.float64)
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
         self.node: _Node | None = None
 
     @property
@@ -75,20 +76,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 @dataclass
@@ -146,21 +135,20 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
-def backward(loss: Tensor, leaf_grads: dict[Tensor, list[np.ndarray]] | None = None) -> None:
-    """Propagate dL/dx from ``loss`` to every tracked leaf reachable from it.
+def backward(loss: Tensor) -> dict[Tensor, list[np.ndarray]]:
+    """Propagate dL/dx from ``loss``; returns ``{leaf: [contributions]}`` for every tracked leaf reached.
 
-    Contributions across fan-out sum in the order the VJPs produce them.
-    Without ``leaf_grads`` they are added into each leaf's ``.grad``; with
-    it, each leaf's contributions are appended, in that order, to
-    ``leaf_grads[leaf]`` and no ``.grad`` is touched (see ``accumulate``).
-    Each node is released after its VJP runs, so the graph cannot be walked
-    twice. Requires ``loss`` to be a scalar recorded on a tape.
+    Contributions across fan-out into an inner node sum in the order the VJPs
+    produce them; a leaf's contributions are listed in that order, unsummed
+    (see ``accumulate``). Each node is released after its VJP runs, so the
+    graph cannot be walked twice. Requires ``loss`` to be a scalar recorded
+    on a tape.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if loss.node is None:
         raise ValueError("backward: loss is not recorded on a tape")
-    store: dict[Tensor, list[np.ndarray]] = {} if leaf_grads is None else leaf_grads
+    store: dict[Tensor, list[np.ndarray]] = {}
     # the tape refs are weak: this map keeps each tensor alive until its gradient has propagated
     pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones((), dtype=loss.data.dtype))}
     for ref in reversed(loss.node.tape.ops):
@@ -182,15 +170,19 @@ def backward(loss: Tensor, leaf_grads: dict[Tensor, list[np.ndarray]] | None = N
             else:
                 pending[id(parent)] = (parent, g)
         del node, grads_in, entry  # hold nothing of this node while the next VJP runs
-    if leaf_grads is None:
-        accumulate(store)
+    return store
 
 
-def accumulate(leaf_grads: dict[Tensor, list[np.ndarray]]) -> None:
-    """Add each leaf's stored contributions into its ``.grad``, in order."""
-    for leaf, grads in leaf_grads.items():
+def accumulate(total: dict[Tensor, np.ndarray], store: dict[Tensor, list[np.ndarray]]) -> None:
+    """Fold one ``backward``'s store into ``total``, leaf by leaf, in contribution order.
+
+    A leaf's first contribution is taken as is; each later one makes a new
+    sum (``prev + g``), so no array that a VJP returned is written into.
+    """
+    for leaf, grads in store.items():
         for g in grads:
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
+            prev = total.get(leaf)
+            total[leaf] = g if prev is None else prev + g
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +207,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     else:
         raise ShapeError("add", a.data.shape, b.data.shape)
-    return _record(out, (a, b), vjp)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError("mul", a.data.shape, b.data.shape)
-    out = Tensor(a.data * b.data)
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return g * bd, g * ad
-
     return _record(out, (a, b), vjp)
 
 
@@ -319,16 +299,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         return gx, gw, gb
 
     return _record(out, (x, w) if b is None else (x, w, b), vjp)
-
-
-def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0
-    out = Tensor(np.where(keep, a.data, 0.0))
-
-    def vjp(g):
-        return (np.where(keep, g, 0.0),)
-
-    return _record(out, (a,), vjp)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -489,39 +459,6 @@ def transpose(a: Tensor, axes) -> Tensor:
         return (g.transpose(inv),)
 
     return _record(out, (a,), vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-    shape = a.data.shape
-    dt = a.data.dtype
-
-    def vjp(g):
-        return (np.full(shape, g, dtype=dt),)
-
-    return _record(out, (a,), vjp)
-
-
-def scatter_add(base: Tensor, index: np.ndarray, values: Tensor) -> Tensor:
-    """Return ``base`` with ``values`` added at flat row-major coordinates ``index``.
-
-    ``index`` must be strictly increasing (unique coordinates).
-    """
-    index = np.asarray(index)
-    if values.data.ndim != 1 or index.shape != values.data.shape:
-        raise ShapeError("scatter_add", index.shape, values.data.shape)
-    if index.size and (np.any(np.diff(index) <= 0) or index[0] < 0 or index[-1] >= base.data.size):
-        raise ValueError("scatter_add: index must be strictly increasing and in range")
-    flat = base.data.reshape(-1).copy()
-    flat[index] += values.data
-    out = Tensor(flat.reshape(base.data.shape))
-
-    def vjp(g):
-        gb = g if _tracked(base) else None
-        gv = g.reshape(-1)[index] if _tracked(values) else None
-        return gb, gv
-
-    return _record(out, (base, values), vjp)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -1) -> Tensor:

@@ -109,7 +109,10 @@ def read_checkpoint(path: str) -> list[Record]:
         (name_len,) = struct.unpack_from("<H", blob, off)
         off += 2
         need(name_len, "name")
-        name = blob[off : off + name_len].decode("utf-8")
+        try:
+            name = blob[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"record name is not UTF-8 ({e.reason})", offset=off) from None
         off += name_len
         need(2, "kind/rank")
         kind, rank = struct.unpack_from("<BB", blob, off)

@@ -100,6 +100,7 @@ def cmd_eval(args) -> int:
     ckpt.load_into(tree, state.merged(), args.checkpoint)
     corpus = args.corpus or cfg.corpus
     task = make_task(cfg.task, cfg.context, cfg.batch_size, cfg.seed, corpus=corpus, copy_vocab=cfg.copy_vocab)
+    cfg.check_vocab(task)
     ppl = evaluate_ppl(forward, tree, task.val_batches, mc.vocab, adapters=adapters_from_records(state.dense))
     print(f"val perplexity {ppl:.6f}")
     return EXIT_OK

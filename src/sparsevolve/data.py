@@ -62,11 +62,12 @@ def _window_batches(windows: np.ndarray, batch_size: int) -> list[tuple[np.ndarr
 
 @dataclass
 class Task:
-    """A training stream, a frozen validation set, and a calibration source."""
+    """A training stream, a frozen validation set, and a calibration source.
 
-    name: str
+    ``vocab`` bounds the task's token ids: every id is below it.
+    """
+
     vocab: int
-    context: int
     train_batch: "callable"
     val_batches: list[tuple[np.ndarray, np.ndarray]]
     calib: "callable" = None  # calib(k) -> list of input arrays
@@ -86,7 +87,7 @@ def char_lm_task(corpus_path: str, context: int, batch_size: int, seed: int) -> 
         # first k batches of the training split, in stream order
         return [x for x, _ in _window_batches(train[: k * batch_size], batch_size)[:k]]
 
-    return Task("char-lm", 256, context, train_batch, val_b, calib)
+    return Task(256, train_batch, val_b, calib)
 
 
 def copy_batch(rng: np.random.Generator, batch_size: int, context: int, vocab: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +115,7 @@ def copy_task(context: int, batch_size: int, seed: int, vocab: int = 16) -> Task
         rng = np.random.default_rng(seed + 13)
         return [copy_batch(rng, batch_size, context, vocab)[0] for _ in range(k)]
 
-    return Task("copy", vocab, context, train_batch, val_b, calib)
+    return Task(vocab, train_batch, val_b, calib)
 
 
 def modadd_batch(rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +139,7 @@ def modadd_task(batch_size: int, seed: int) -> Task:
         rng = np.random.default_rng(seed + 13)
         return [modadd_batch(rng, batch_size)[0] for _ in range(k)]
 
-    return Task("modular-add", 256, 3, train_batch, val_b, calib)
+    return Task(256, train_batch, val_b, calib)
 
 
 def make_task(task: str, context: int, batch_size: int, seed: int, corpus: str | None = None, copy_vocab: int = 16) -> Task:

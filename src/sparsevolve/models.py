@@ -1,10 +1,10 @@
 """Desk-scale models exposing a named parameter tree.
 
-Two builders: an MLP classifier and a tiny pre-norm decoder-only transformer
-with learned positional embeddings, a weight-untied LM head and a byte-level
-vocabulary. Prunable entries are exactly the 2-D weight matrices of linear
-layers (attention, feed-forward, LM head); embeddings, norms and biases are
-never prunable.
+One builder: a tiny pre-norm decoder-only transformer with learned
+positional embeddings, a weight-untied LM head and a byte-level vocabulary.
+Prunable entries are exactly the 2-D weight matrices of linear layers
+(attention, feed-forward, LM head); embeddings, norms and biases are never
+prunable.
 """
 
 from __future__ import annotations
@@ -84,10 +84,6 @@ class ParamTree:
     def set_requires_grad(self, flag: bool, names: list[str] | None = None) -> None:
         for n in names if names is not None else self._params:
             self._params[n].requires_grad = flag
-
-    def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.grad = None
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor | None, adapter=None) -> Tensor:
@@ -198,29 +194,3 @@ def build_transformer(cfg: ModelConfig, dtype=np.float32):
 
     return tree, forward
 
-
-def build_mlp(dims: list[int], seed: int = 0, dtype=np.float64):
-    """Build a ReLU MLP over ``dims``; returns ``(tree, forward)``."""
-    if len(dims) < 2:
-        raise ValueError(f"need at least 2 layer dims, got {dims}")
-    rng = np.random.default_rng(seed)
-    tree = ParamTree()
-    n_layers = len(dims) - 1
-    for i in range(n_layers):
-        w = rng.normal(0.0, INIT_STD, size=(dims[i + 1], dims[i])).astype(dtype)
-        tree.add(f"layer{i}.w", Tensor(w, requires_grad=True), prunable=True)
-        tree.add(f"layer{i}.b", Tensor(np.zeros(dims[i + 1], dtype=dtype)))
-
-    def forward(tree: ParamTree, x, taps=None, adapters=None) -> Tensor:
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=dtype))
-        adapters = adapters or {}
-        for i in range(n_layers):
-            name = f"layer{i}.w"
-            _tap(taps, name, x)
-            x = _linear(x, tree[name], tree[f"layer{i}.b"], adapters.get(name))
-            if i < n_layers - 1:
-                x = ad.relu(x)
-        return x
-
-    return tree, forward

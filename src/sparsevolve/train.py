@@ -139,6 +139,11 @@ class TrainConfig:
             seed=self.seed,
         )
 
+    def check_vocab(self, task: Task) -> None:
+        """Raise ValueError unless the model's vocabulary covers every token id of ``task``."""
+        if task.vocab > self.vocab:
+            raise ValueError(f"task {self.task!r} has {task.vocab} token ids, more than the model's vocabulary of {self.vocab}")
+
     def resolve_out_dir(self) -> str:
         return self.out_dir or os.environ.get(OUT_ENV, ".")
 
@@ -260,12 +265,11 @@ class DenseAdamW:
         self.v = [np.zeros(p.data.shape, dtype=np.float64) for p in params]
         self.step_count = 0
 
-    def step(self, grad_scale: float = 1.0) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray], grad_scale: float) -> None:
+        """One update of every parameter from its gradient in ``grads``, times ``grad_scale``."""
         self.step_count += 1
         for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad.astype(np.float64) * grad_scale
+            g = grads[p].astype(np.float64) * grad_scale
             p.data = adamw_update(p.data, g, m, v, self.step_count, self.lr, BETA1, BETA2, EPS, WEIGHT_DECAY)
 
 
@@ -392,23 +396,24 @@ def train(cfg: TrainConfig, on_event=None) -> TrainResult:
 
 
 def _make_task_for(cfg: TrainConfig) -> Task:
-    return make_task(cfg.task, cfg.context, cfg.batch_size, cfg.seed, corpus=cfg.corpus, copy_vocab=cfg.copy_vocab)
+    task = make_task(cfg.task, cfg.context, cfg.batch_size, cfg.seed, corpus=cfg.corpus, copy_vocab=cfg.copy_vocab)
+    cfg.check_vocab(task)
+    return task
 
 
 def _micro_batch(forward, tree, adapters, vocab: int, batch) -> tuple[float, dict]:
-    """Forward and backward of one micro-batch; returns its loss and its own leaf-gradient store."""
+    """Forward and backward of one micro-batch; returns its loss and its leaf-gradient store."""
     x, y = batch
-    leaf_grads: dict = {}
     with ad.Tape():
         logits = forward(tree, x, adapters=adapters)
         loss = ad.cross_entropy(ad.reshape(logits, (-1, vocab)), y.reshape(-1), ignore_index=IGNORE)
         del logits  # backward frees each activation after its VJP, unless something else holds it
-        ad.backward(loss, leaf_grads)
-    return loss.item(), leaf_grads
+        store = ad.backward(loss)
+    return loss.item(), store
 
 
-def _backward_pass(cfg: TrainConfig, tree, forward, task, rng, vocab: int, adapters=None) -> float:
-    """Accumulate gradients over the micro-batches; returns the mean loss.
+def _backward_pass(cfg: TrainConfig, tree, forward, task, rng, vocab: int, adapters=None) -> tuple[float, dict[Tensor, np.ndarray]]:
+    """The mean loss over the micro-batches and each trained leaf's summed gradient.
 
     The batches are drawn first, in order; the micro-batches then run through
     ``parallel.ordered_map``. Their losses and gradient contributions are
@@ -418,14 +423,15 @@ def _backward_pass(cfg: TrainConfig, tree, forward, task, rng, vocab: int, adapt
     batches = [task.train_batch(rng) for _ in range(cfg.grad_accum)]
     run = functools.partial(_micro_batch, forward, tree, adapters, vocab)
     loss_sum = 0.0
-    for loss, leaf_grads in parallel.ordered_map(run, batches, parallel.batch_elements(tree, batches[0][0])):
+    grads: dict[Tensor, np.ndarray] = {}
+    for loss, store in parallel.ordered_map(run, batches, parallel.batch_elements(tree, batches[0][0])):
         loss_sum += loss
-        ad.accumulate(leaf_grads)
-        del leaf_grads  # not kept alive while waiting for the next micro-batch
+        ad.accumulate(grads, store)
+        del store  # not kept alive while waiting for the next micro-batch
     mean = loss_sum / cfg.grad_accum
     if not np.isfinite(mean):
         raise NumericFailure(f"non-finite training loss {mean} (method={cfg.method}, seed={cfg.seed})")
-    return mean
+    return mean, grads
 
 
 def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, timings, eval_row, result, on_event):
@@ -450,14 +456,15 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
     train_loss = None
     for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
-        tree.zero_grads()
-        train_loss = _backward_pass(cfg, tree, forward, task, rng, cfg.vocab)
+        train_loss, grads = _backward_pass(cfg, tree, forward, task, rng, cfg.vocab)
         if cfg.grad_accum == 1:  # x / 1 is exact: pass the gradients through, no dense copies
-            dense_grads = {n: t.grad for n, t in tree.named_prunable()}
+            dense_grads = {n: grads[t] for n, t in tree.named_prunable()}
         else:
-            dense_grads = {n: t.grad / cfg.grad_accum for n, t in tree.named_prunable()}
+            dense_grads = {n: grads[t] / cfg.grad_accum for n, t in tree.named_prunable()}
+        del grads  # dense_grads holds what the step reads
         acc.accumulate(dense_grads)
         adamw_step(delta, optim, gather_grads(delta, dense_grads), cfg.lr)
+        del dense_grads  # this step's gradients are not kept alive into the next backward
 
         event = step % cfg.every == 0
         if event:  # one edit map per tensor for the whole event, rebuilt once at its end
@@ -525,10 +532,9 @@ def _train_lora(cfg, tree, forward, task, rng, masks, theta, metrics, timings, e
     train_loss = None
     for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
-        for p in params:
-            p.zero_grad()
-        train_loss = _backward_pass(cfg, tree, forward, task, rng, cfg.vocab, adapters=adapters)
-        opt.step(grad_scale=1.0 / cfg.grad_accum)
+        train_loss, grads = _backward_pass(cfg, tree, forward, task, rng, cfg.vocab, adapters=adapters)
+        opt.step(grads, grad_scale=1.0 / cfg.grad_accum)
+        del grads  # not kept alive into the next backward
         timings.write(f"{step},{(time.perf_counter() - t0) * 1000:.3f}\n")
         if step == cfg.steps or (cfg.eval_every and step % cfg.eval_every == 0):
             eval_row(step, train_loss, None, adapters=adapters)

@@ -8,10 +8,10 @@ import pytest
 from sparsevolve import autodiff as ad
 from sparsevolve.autodiff import ShapeError, Tape, Tensor, backward
 from sparsevolve.lora import build_adapters
-from sparsevolve.models import _causal_mask, build_mlp, build_transformer
+from sparsevolve.models import _causal_mask, build_transformer
 from sparsevolve.train import TrainConfig
 
-from oracles import grad_check
+from oracles import build_mlp, grad_check, grads_of, mul, relu, scatter_add, sum_all
 
 
 def test_matmul_identity():
@@ -38,31 +38,28 @@ def test_shape_mismatch_names_op_and_shapes():
     with pytest.raises(ShapeError, match="add"):
         ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
     with pytest.raises(ShapeError, match="mul"):
-        ad.mul(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+        mul(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3), requires_grad=True)
     with Tape():
-        loss = ad.sum_all(x)
-        backward(loss)
-    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        grads = grads_of(sum_all(x))
+    np.testing.assert_array_equal(grads[x], np.ones((2, 3)))
 
 
 def test_backward_square():
     x = Tensor(np.array(3.0).reshape(1, 1), requires_grad=True)
     with Tape():
-        loss = ad.sum_all(ad.mul(x, x))
-        backward(loss)
-    assert x.grad[0, 0] == pytest.approx(6.0)
+        grads = grads_of(sum_all(mul(x, x)))
+    assert grads[x][0, 0] == pytest.approx(6.0)
 
 
 def test_fanout_sums_contributions():
     x = Tensor([1.5], requires_grad=True)
     with Tape():
-        loss = ad.sum_all(ad.add(x, x))
-        backward(loss)
-    np.testing.assert_array_equal(x.grad, [2.0])
+        grads = grads_of(sum_all(ad.add(x, x)))
+    np.testing.assert_array_equal(grads[x], [2.0])
 
 
 def test_backward_requires_scalar():
@@ -83,9 +80,8 @@ def test_bias_row_add_backward():
     x = Tensor(np.ones((4, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
     with Tape():
-        loss = ad.sum_all(ad.add(x, b))
-        backward(loss)
-    np.testing.assert_array_equal(b.grad, [4.0, 4.0, 4.0])
+        grads = grads_of(sum_all(ad.add(x, b)))
+    np.testing.assert_array_equal(grads[b], [4.0, 4.0, 4.0])
 
 
 def test_embedding_untouched_rows_zero_grad():
@@ -93,11 +89,11 @@ def test_embedding_untouched_rows_zero_grad():
     ids = np.array([[1, 1, 3]])
     with Tape():
         out = ad.embedding(table, ids)
-        backward(ad.sum_all(out))
-    np.testing.assert_array_equal(table.grad[0], 0.0)
-    np.testing.assert_array_equal(table.grad[2], 0.0)
-    np.testing.assert_array_equal(table.grad[4], 0.0)
-    np.testing.assert_array_equal(table.grad[1], 2.0)  # row used twice
+        grads = grads_of(sum_all(out))
+    np.testing.assert_array_equal(grads[table][0], 0.0)
+    np.testing.assert_array_equal(grads[table][2], 0.0)
+    np.testing.assert_array_equal(grads[table][4], 0.0)
+    np.testing.assert_array_equal(grads[table][1], 2.0)  # row used twice
 
 
 def test_scatter_add_forward_and_backward():
@@ -105,20 +101,19 @@ def test_scatter_add_forward_and_backward():
     vals = Tensor(np.array([5.0, 7.0]), requires_grad=True)
     idx = np.array([1, 4])
     with Tape():
-        out = ad.scatter_add(base, idx, vals)
-        loss = ad.sum_all(ad.mul(out, out))
-        backward(loss)
+        out = scatter_add(base, idx, vals)
+        grads = grads_of(sum_all(mul(out, out)))
     np.testing.assert_array_equal(out.data, [[0.0, 5.0, 0.0], [0.0, 7.0, 0.0]])
-    np.testing.assert_allclose(vals.grad, [10.0, 14.0])
-    np.testing.assert_allclose(base.grad.reshape(-1)[idx], [10.0, 14.0])
+    np.testing.assert_allclose(grads[vals], [10.0, 14.0])
+    np.testing.assert_allclose(grads[base].reshape(-1)[idx], [10.0, 14.0])
 
 
 def test_scatter_add_rejects_unsorted_or_dup():
     base = Tensor(np.zeros(4))
     with pytest.raises(ValueError):
-        ad.scatter_add(base, np.array([2, 1]), Tensor(np.zeros(2)))
+        scatter_add(base, np.array([2, 1]), Tensor(np.zeros(2)))
     with pytest.raises(ValueError):
-        ad.scatter_add(base, np.array([1, 1]), Tensor(np.zeros(2)))
+        scatter_add(base, np.array([1, 1]), Tensor(np.zeros(2)))
 
 
 def test_linear_model_gradcheck_trivial():
@@ -126,11 +121,13 @@ def test_linear_model_gradcheck_trivial():
     x = np.array([[3.0]])
 
     def loss_fn():
-        return ad.sum_all(ad.matmul(Tensor(x), w))
+        return sum_all(ad.matmul(Tensor(x), w))
 
     report = grad_check(loss_fn, {"w": w}, eps=1e-6, tol=1e-6)
     assert report.passed
-    assert w.grad[0, 0] == pytest.approx(3.0)
+    with Tape():
+        grads = grads_of(loss_fn())
+    assert grads[w][0, 0] == pytest.approx(3.0)
 
 
 def test_mlp_gradcheck_fd_oracle():
@@ -161,12 +158,12 @@ def test_elementwise_ops_fd_oracle(op):
         if op == "gelu":
             out = ad.gelu(x)
         elif op == "relu":
-            out = ad.relu(x)
+            out = relu(x)
         elif op == "softmax":
             out = ad.softmax(x)
         else:
             out = ad.layer_norm(x, g, b)
-        return ad.sum_all(ad.mul(out, r))  # random projection makes grads non-trivial
+        return sum_all(mul(out, r))  # random projection makes grads non-trivial
 
     params = {"x": x} if op != "layer_norm" else {"x": x, "g": g, "b": b}
     report = grad_check(loss_fn, params, eps=1e-6, tol=1e-5, samples=10, rng=rng)
@@ -206,9 +203,8 @@ def test_cross_entropy_ignore_index():
     only = ad.cross_entropy(Tensor(logits.data[:1]), np.array([1]))
     assert full.item() == pytest.approx(only.item())
     with Tape():
-        loss = ad.cross_entropy(logits, np.array([1, -1]))
-        backward(loss)
-    np.testing.assert_array_equal(logits.grad[1], 0.0)
+        grads = grads_of(ad.cross_entropy(logits, np.array([1, -1])))
+    np.testing.assert_array_equal(grads[logits][1], 0.0)
 
 
 def test_cross_entropy_empty_targets_error():
@@ -219,13 +215,14 @@ def test_cross_entropy_empty_targets_error():
 def test_independent_tapes_do_not_interfere():
     x = Tensor([2.0], requires_grad=True)
     with Tape():
-        l1 = ad.sum_all(ad.mul(x, x))
+        l1 = sum_all(mul(x, x))
+    grads = {}
     with Tape():
-        l2 = ad.sum_all(ad.scale(x, 3.0))
-        backward(l2)
-    np.testing.assert_array_equal(x.grad, [3.0])
-    backward(l1)  # older tape still usable; grads accumulate
-    np.testing.assert_array_equal(x.grad, [3.0 + 4.0])
+        l2 = sum_all(ad.scale(x, 3.0))
+        ad.accumulate(grads, backward(l2))
+    np.testing.assert_array_equal(grads[x], [3.0])
+    ad.accumulate(grads, backward(l1))  # older tape still usable; grads accumulate
+    np.testing.assert_array_equal(grads[x], [3.0 + 4.0])
 
 
 def test_tape_freed_by_reference_count(tiny_model):
@@ -301,8 +298,8 @@ def test_linear_bitwise_equals_three_node_graph(x_shape, out_dim, dtype):
         x, w, b = (Tensor(d.copy(), requires_grad=True) for d in (xd, wd, bd))
         with Tape():
             y = op(x, w, b)
-            backward(ad.sum_all(ad.mul(y, Tensor(r))))
-        results.append((y.data, x.grad, w.grad, b.grad))
+            grads = grads_of(sum_all(mul(y, Tensor(r))))
+        results.append((y.data, grads[x], grads[w], grads[b]))
     for got, want in zip(*results):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -316,7 +313,7 @@ def test_linear_fd_oracle():
     r = Tensor(rng.normal(size=(2, 3, 4)))
 
     def loss_fn():
-        return ad.sum_all(ad.mul(ad.linear(x, w, b), r))
+        return sum_all(mul(ad.linear(x, w, b), r))
 
     report = grad_check(loss_fn, {"x": x, "w": w, "b": b}, eps=1e-6, tol=1e-6, samples=10, rng=rng)
     assert report.passed, f"max rel err {report.max_rel_err} at {report.worst}"
@@ -343,33 +340,33 @@ def test_mid_graph_activation_freed_before_backward_returns():
     with Tape():
         h = ad.gelu(ad.scale(probe(x), 2.0))
         mid = weakref.ref(h)
-        loss = ad.sum_all(h)
+        loss = sum_all(h)
         del h
-        backward(loss)
+        grads = grads_of(loss)
     assert alive_at_probe == [False]
-    assert x.grad is not None
+    assert x in grads
 
 
 def test_loss_backpropagates_once():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape():
-        loss = ad.sum_all(ad.mul(x, x))
-        backward(loss)
+        loss = sum_all(mul(x, x))
+        grads = grads_of(loss)
         with pytest.raises(ValueError, match="not recorded"):
             backward(loss)
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    np.testing.assert_array_equal(grads[x], [2.0, 4.0])
 
 
-def test_leaf_grads_store_keeps_contributions_in_order():
+def test_backward_returns_a_leaf_reached_by_two_ops_as_its_contributions_in_vjp_order():
     x = Tensor(np.array([0.1, 0.2], dtype=np.float32), requires_grad=True)
-    store = {}
     with Tape():
-        backward(ad.sum_all(ad.add(ad.scale(x, 3.0), ad.mul(x, x))), store)
-    assert x.grad is None  # a store leaves .grad alone
+        store = backward(sum_all(ad.add(ad.scale(x, 3.0), mul(x, x))))
+    assert list(store) == [x]
     # one contribution per use of x, in VJP order: mul (recorded last) first, then scale
     assert [g.tolist() for g in store[x]] == [x.data.tolist(), x.data.tolist(), [3.0, 3.0]]
-    ad.accumulate(store)
-    assert x.grad.tobytes() == ((x.data + x.data) + np.float32(3.0)).tobytes()
+    grads = {}
+    ad.accumulate(grads, store)
+    assert grads[x].tobytes() == ((x.data + x.data) + np.float32(3.0)).tobytes()
 
 
 def _readonly(*arrays):

@@ -223,3 +223,30 @@ def test_ablation_grids_are_the_parser_choices_and_valid_configs(capsys):
             TrainConfig.from_dict({**base, **patch})
     assert run(["ablate", "--grid", "nonsense"]) == EXIT_USAGE
     assert "droprate" in capsys.readouterr().err
+
+
+def test_a_record_name_that_is_not_utf8_is_a_corrupt_checkpoint(finetuned, tmp_path, capsys):
+    ckpt = tmp_path / "bad.ckpt"
+    blob = bytearray(finetuned.read_bytes())
+    blob[8] = 0xFF  # the first byte of the first record's name: never valid UTF-8
+    ckpt.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert run(["inspect", str(ckpt)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt checkpoint: ") and err.rstrip().endswith("(at byte offset 8)"), err
+
+
+def test_a_task_whose_token_ids_exceed_the_model_vocabulary_is_refused(finetuned, tmp_path, capsys):
+    capsys.readouterr()
+    assert run(["finetune", "--task", "modular-add", "--vocab", "32", "--steps", "1", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "task 'modular-add' has 256 token ids, more than the model's vocabulary of 32" in err
+    assert "embedding" not in err  # refused where the task is built, before pruning's calibration runs the model
+    ckpt = str(tmp_path / "ft.ckpt")
+    shutil.copy(str(finetuned), ckpt)
+    meta = json.loads(open(str(finetuned) + ".json").read())
+    meta["config"]["copy_vocab"] = 300  # the model's vocabulary is the default 256
+    with open(ckpt + ".json", "w") as f:
+        json.dump(meta, f)
+    assert run(["eval", ckpt]) == EXIT_USAGE
+    assert "task 'copy' has 300 token ids, more than the model's vocabulary of 256" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from sparsevolve.models import ModelConfig, build_mlp, build_transformer
+from sparsevolve.models import ModelConfig, build_transformer
+
+from oracles import build_mlp
 
 
 def total_params(tree) -> int:

@@ -130,11 +130,7 @@ def test_micro_batch_threads_share_one_malloc_arena(order, tmp_path):
 
 # Functions and public methods under src/sparsevolve/ that nothing in src/ or
 # bench/ calls, each with the reason it stays.
-UNREFERENCED_ALLOWED = {
-    "sum_all": "engine op the README lists; the autodiff tests reduce a graph to a scalar with it",
-    "scatter_add": "engine op the README lists; the gradient tests check its VJP",
-    "build_mlp": "the MLP model the README documents; the pruning and autodiff tests build it",
-}
+UNREFERENCED_ALLOWED: dict[str, str] = {}
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -213,7 +209,6 @@ def test_dead_code_allowlist_names_live_definitions():
 # that no call in src/ or bench/ passes, each with the reason it stays. A key
 # is "function" (every such parameter of it) or "function.parameter".
 UNSET_DEFAULTS_ALLOWED = {
-    "build_mlp": "the MLP model the README documents; the pruning and autodiff tests choose its seed and dtype",
     "init_support.dtype": "float64 deltas for the finite-difference and bitwise-threading tests; training runs float32",
     "build_adapters.dtype": "float64 adapters for the bitwise-threading tests; training runs float32",
     "insert_entries.optim": "a one-edit wrapper that only bench/tracing.py's patch table names; the reference tests pass moments",

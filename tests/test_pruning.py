@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsevolve.adaptation import merged_support_sparsity
-from sparsevolve.models import ModelConfig, build_mlp, build_transformer
+from sparsevolve.models import ModelConfig, build_transformer
 from sparsevolve.pruning import (
     Mask,
     apply_mask,
@@ -15,6 +15,8 @@ from sparsevolve.pruning import (
     prune_model,
     score_wanda,
 )
+
+from oracles import build_mlp
 
 
 def brute_force_row_keep(scores_row, keep):

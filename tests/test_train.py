@@ -380,20 +380,20 @@ def _twice(forward):
 
 
 def _sequential_reference(cfg, tree, forward, task, rng, adapters):
-    """Micro-batches one after another, each gradient contribution added into .grad as it comes."""
+    """Micro-batches one after another, each gradient contribution added into its leaf's sum as it comes."""
     loss_sum = 0.0
+    sums = {}
     for _ in range(cfg.grad_accum):
         x, y = task.train_batch(rng)
-        store = {}
         with ad.Tape():
             logits = forward(tree, x, adapters=adapters)
             loss = ad.cross_entropy(ad.reshape(logits, (-1, cfg.vocab)), y.reshape(-1), ignore_index=IGNORE)
-            ad.backward(loss, store)
+            store = ad.backward(loss)
         for leaf, grads in store.items():
             for g in grads:
-                leaf.grad = g if leaf.grad is None else leaf.grad + g
+                sums[leaf] = g if leaf not in sums else sums[leaf] + g
         loss_sum += loss.item()
-    return loss_sum / cfg.grad_accum
+    return loss_sum / cfg.grad_accum, sums
 
 
 @pytest.mark.parametrize("method", ["seft", "lora"])
@@ -416,14 +416,12 @@ def test_threaded_backward_pass_bitwise_equals_single_worker(monkeypatch, method
         leaves = [t for _, t in tree.named_prunable()]
 
     def run(workers):
-        for t in leaves:
-            t.zero_grad()
         if workers is None:
-            loss = _sequential_reference(cfg, tree, forward, task, np.random.default_rng(5), adapters)
+            loss, grads = _sequential_reference(cfg, tree, forward, task, np.random.default_rng(5), adapters)
         else:
             monkeypatch.setattr(parallel, "workers", lambda n_items, elements: workers)
-            loss = train_mod._backward_pass(cfg, tree, forward, task, np.random.default_rng(5), cfg.vocab, adapters)
-        return loss, [t.grad for t in leaves]
+            loss, grads = train_mod._backward_pass(cfg, tree, forward, task, np.random.default_rng(5), cfg.vocab, adapters)
+        return loss, [grads[t] for t in leaves]
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the worker threads as finely as the interpreter allows
@@ -491,24 +489,30 @@ def test_bench_tracer_counts_one_merge_step_and_gather_per_step(tmp_path, monkey
 @pytest.mark.parametrize("grad_accum", [1, 2])
 def test_accumulated_gradients_are_the_tree_gradients_at_grad_accum_1(tmp_path, monkeypatch, grad_accum):
     # x / 1 is exact, so dividing at grad_accum 1 only costs a dense copy per tensor per step
-    trees, steps = [], []
-    real_build, real_accumulate = train_mod.build_transformer, train_mod.GradAccumulator.accumulate
+    trees, folds, steps = [], [], []
+    real_build, real_pass, real_accumulate = train_mod.build_transformer, train_mod._backward_pass, train_mod.GradAccumulator.accumulate
 
     def build(*args, **kwargs):
         tree, forward = real_build(*args, **kwargs)
         trees.append(tree)
         return tree, forward
 
+    def backward_pass(*args, **kwargs):
+        loss, grads = real_pass(*args, **kwargs)
+        folds.append(grads)
+        return loss, grads
+
     def accumulate(self, grads):
         for name, t in trees[-1].named_prunable():
             if grad_accum == 1:
-                assert grads[name] is t.grad
+                assert grads[name] is folds[-1][t]
             else:
-                assert grads[name].tobytes() == (t.grad / grad_accum).tobytes()
+                assert grads[name].tobytes() == (folds[-1][t] / grad_accum).tobytes()
         steps.append(len(grads))
         real_accumulate(self, grads)
 
     monkeypatch.setattr(train_mod, "build_transformer", build)
+    monkeypatch.setattr(train_mod, "_backward_pass", backward_pass)
     monkeypatch.setattr(train_mod.GradAccumulator, "accumulate", accumulate)
     cfg = cfg_for(tmp_path, steps=3, every=5, eval_every=0, grad_accum=grad_accum)
     train(cfg)
