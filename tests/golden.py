@@ -45,6 +45,7 @@ RUNS = {
     "lora": dict(COPY, method="lora"),
     "lora-star": dict(COPY, method="lora-star"),
     "char-lm": CHAR_LM,
+    "char-lm-lora-star": dict(CHAR_LM, method="lora-star"),
     "base-checkpoint": dict(COPY, steps=20),
 }
 
