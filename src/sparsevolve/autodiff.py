@@ -6,12 +6,16 @@ tensor with ``requires_grad`` and no recording node), its gradient
 contributions in the order the VJPs produced them. ``accumulate`` folds them
 into one gradient per leaf. No gradient is ever stored on a tensor.
 
-Backward releases the graph as it goes: once a node's VJP has run, the
-tensor drops its node, so its activations can be freed before ``backward``
-returns, and a loss can be backpropagated only once. A tape holds its
-recorded tensors weakly: the graph is owned by the loss through each
-tensor's parents, so it is freed by reference count, without waiting for the
-cyclic garbage collector.
+Nodes own the graph. A node links each input to the node that produced it,
+or to the input itself when it is a tracked leaf; it never holds an
+intermediate tensor. Each op decides when it is recorded which arrays its VJP
+will read, and its closure holds only those, so an intermediate tensor is
+freed as soon as the forward drops it unless a VJP reads its data. The loss
+owns the graph through its node, and a tape holds its nodes weakly, so the
+graph is freed by reference count, without waiting for the cyclic garbage
+collector. Backward releases the graph as it goes: once a node's VJP has run,
+the node drops its closure and its links, so the arrays it held can be freed
+before ``backward`` returns, and a loss can be backpropagated only once.
 
 Reductions are performed in numpy's fixed row-major order, so forward and
 backward results are bitwise reproducible for identical inputs on the same
@@ -37,7 +41,6 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,18 +83,27 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-@dataclass
 class _Node:
-    parents: tuple[Tensor, ...]
-    vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]
-    tape: "Tape"
+    """One recorded op: its VJP and, per input, the link backward follows."""
+
+    __slots__ = ("parents", "vjp", "tape", "__weakref__")
+
+    def __init__(self, parents: list[_Link], vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]], tape: "Tape"):
+        self.parents: list[_Link] | None = parents  # None, like vjp, once the VJP has run
+        self.vjp = vjp
+        self.tape = tape
+
+
+# What a node keeps of one input: the node that produced it, the input itself
+# when it is a tracked leaf, or None when it is not tracked.
+_Link = _Node | Tensor | None
 
 
 class Tape:
     """Ordered recording of ops; recording order is a topological order."""
 
     def __init__(self):
-        self.ops: list[weakref.ref[Tensor]] = []  # weak: a strong list would close a cycle through Tensor.node
+        self.ops: list[weakref.ref[_Node]] = []  # weak: the graph is owned by the loss, not by its tape
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -113,25 +125,33 @@ def _tape_stack() -> list[Tape]:
     return stack
 
 
-def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or t.node is not None
+def _links(inputs: tuple[Tensor, ...]) -> list[_Link] | None:
+    """Each input's link for a node over ``inputs``, or None when no tape would record that op.
 
-
-def _recording(parents: tuple[Tensor, ...]) -> Tape | None:
-    """The tape an op over ``parents`` would be recorded on, or None."""
+    An op is recorded on this thread's innermost tape when any input is
+    tracked: it requires gradients or was itself produced by a recorded op.
+    """
     stack = getattr(_LOCAL, "stack", None)
-    if stack:
-        for p in parents:
-            if p.requires_grad or p.node is not None:
-                return stack[-1]
-    return None
+    if not stack:
+        return None
+    links: list[_Link] = []
+    for t in inputs:
+        node = t.node
+        links.append(node if node is not None else t if t.requires_grad else None)
+    if links.count(None) == len(links):
+        return None
+    return links
 
 
-def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    tape = _recording(parents)
-    if tape is not None:
-        out.node = _Node(parents=parents, vjp=vjp, tape=tape)
-        tape.ops.append(weakref.ref(out))
+def _record(out: Tensor, links: list[_Link], vjp) -> Tensor:
+    """Make ``out`` the output of a node over ``links`` (from ``_links``) on the current tape.
+
+    ``vjp`` maps the output's gradient to one gradient (or None) per input; it
+    must hold only the arrays it reads, never a ``Tensor``.
+    """
+    tape = _LOCAL.stack[-1]
+    out.node = node = _Node(links, vjp, tape)
+    tape.ops.append(weakref.ref(node))
     return out
 
 
@@ -140,36 +160,40 @@ def backward(loss: Tensor) -> dict[Tensor, list[np.ndarray]]:
 
     Contributions across fan-out into an inner node sum in the order the VJPs
     produce them; a leaf's contributions are listed in that order, unsummed
-    (see ``accumulate``). Each node is released after its VJP runs, so the
-    graph cannot be walked twice. Requires ``loss`` to be a scalar recorded
-    on a tape.
+    (see ``accumulate``). Each node drops its closure and its links once its
+    VJP has run, so the graph cannot be walked twice. Requires ``loss`` to be
+    a scalar recorded on a tape.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    if loss.node is None:
+    root = loss.node
+    if root is None or root.vjp is None:
         raise ValueError("backward: loss is not recorded on a tape")
+    loss.node = None
     store: dict[Tensor, list[np.ndarray]] = {}
-    # the tape refs are weak: this map keeps each tensor alive until its gradient has propagated
-    pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones((), dtype=loss.data.dtype))}
-    for ref in reversed(loss.node.tape.ops):
-        t = ref()
-        if t is None:
+    # the tape refs are weak: this map keeps each node alive until its gradient has propagated
+    pending: dict[_Node, np.ndarray] = {root: np.ones((), dtype=loss.data.dtype)}
+    ops = root.tape.ops
+    del root
+    for ref in reversed(ops):
+        node = ref()
+        if node is None:
             continue
-        entry = pending.pop(id(t), None)
-        if entry is None or t.node is None:
+        g = pending.pop(node, None)
+        vjp = node.vjp
+        if g is None or vjp is None:  # not on the loss's graph, or walked by an earlier backward
             continue
-        node, t.node = t.node, None
-        grads_in = node.vjp(entry[1])
-        for parent, g in zip(node.parents, grads_in):
-            if g is None or not _tracked(parent):
+        links = node.parents
+        node.vjp = node.parents = None
+        for link, g_in in zip(links, vjp(g)):
+            if g_in is None or link is None:
                 continue
-            if parent.node is None:
-                store.setdefault(parent, []).append(g)
-            elif id(parent) in pending:
-                pending[id(parent)] = (parent, pending[id(parent)][1] + g)
+            if type(link) is _Node:
+                prev = pending.get(link)
+                pending[link] = g_in if prev is None else prev + g_in
             else:
-                pending[id(parent)] = (parent, g)
-        del node, grads_in, entry  # hold nothing of this node while the next VJP runs
+                store.setdefault(link, []).append(g_in)
+        del node, vjp, links, g  # hold nothing of this node while the next VJP runs
     return store
 
 
@@ -193,31 +217,33 @@ def accumulate(total: dict[Tensor, np.ndarray], store: dict[Tensor, list[np.ndar
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add; the only broadcast allowed is a bias row over the last dim."""
     if a.data.shape == b.data.shape:
-        out = Tensor(a.data + b.data)
-
-        def vjp(g):
-            return g, g
-
+        n = None
     elif b.data.ndim == 1 and a.data.ndim >= 2 and b.data.shape[0] == a.data.shape[-1]:
-        out = Tensor(a.data + b.data)
         n = b.data.shape[0]
-
-        def vjp(g):
-            return g, g.reshape(-1, n).sum(axis=0)
-
     else:
         raise ShapeError("add", a.data.shape, b.data.shape)
-    return _record(out, (a, b), vjp)
+    out = Tensor(a.data + b.data)
+    links = _links((a, b))
+    if links is None:
+        return out
+
+    def vjp(g):
+        return g, (g if n is None else g.reshape(-1, n).sum(axis=0))
+
+    return _record(out, links, vjp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c)
+    links = _links((a,))
+    if links is None:
+        return out
 
     def vjp(g):
         return (g * c,)
 
-    return _record(out, (a,), vjp)
+    return _record(out, links, vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -225,34 +251,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError("matmul", ad.shape, bd.shape)
-    if bd.ndim == 2:
-        if ad.shape[-1] != bd.shape[0]:
-            raise ShapeError("matmul", ad.shape, bd.shape)
-        out = Tensor(ad @ bd)
-        k, n = bd.shape
+    stacked = bd.ndim > 2
+    if ad.shape[-1] != bd.shape[-2] or (stacked and ad.shape[:-2] != bd.shape[:-2]):
+        raise ShapeError("matmul", ad.shape, bd.shape)
+    out = Tensor(ad @ bd)
+    links = _links((a, b))
+    if links is None:
+        return out
+    # a's gradient reads only b, and b's only a: keep each operand only for the other's gradient
+    ak = ad if links[1] is not None else None
+    bk = bd if links[0] is not None else None
+    k, n = bd.shape[-2:]
 
-        def vjp(g):
-            ga = gb = None
-            if _tracked(a):
-                ga = g @ bd.T
-            if _tracked(b):
-                gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
-            return ga, gb
+    def vjp(g):
+        ga = gb = None
+        if bk is not None:
+            ga = g @ bk.swapaxes(-1, -2) if stacked else g @ bk.T
+        if ak is not None:
+            gb = ak.swapaxes(-1, -2) @ g if stacked else ak.reshape(-1, k).T @ g.reshape(-1, n)
+        return ga, gb
 
-    else:
-        if ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
-            raise ShapeError("matmul", ad.shape, bd.shape)
-        out = Tensor(ad @ bd)
-
-        def vjp(g):
-            ga = gb = None
-            if _tracked(a):
-                ga = g @ bd.swapaxes(-1, -2)
-            if _tracked(b):
-                gb = ad.swapaxes(-1, -2) @ g
-            return ga, gb
-
-    return _record(out, (a, b), vjp)
+    return _record(out, links, vjp)
 
 
 # OpenBLAS runs a GEMM of at most 100**3 multiply-adds (M*N*K) in its
@@ -287,18 +306,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         y += b.data
     out = Tensor(y)
+    links = _links((x, w) if b is None else (x, w, b))
+    if links is None:
+        return out
+    # x's gradient reads only w, and w's only x: a frozen weight keeps no input alive
+    xk = xd if links[1] is not None else None
+    wk = wd if links[0] is not None else None
+    x_shape = xd.shape
+    b_tracked = b is not None and links[2] is not None
 
     def vjp(g):
         gx = gw = gb = None
-        if _tracked(x):
-            gx = (g.reshape(-1, n_out) @ wd).reshape(xd.shape) if flat else g @ wd
-        if _tracked(w):
-            gw = (xd.reshape(-1, n_in).T @ g.reshape(-1, n_out)).T
-        if b is not None and _tracked(b):
+        if wk is not None:
+            gx = (g.reshape(-1, n_out) @ wk).reshape(x_shape) if flat else g @ wk
+        if xk is not None:
+            gw = g.reshape(-1, n_out).T @ xk.reshape(-1, n_in)  # row-major, like w
+        if b_tracked:
             gb = g.reshape(-1, n_out).sum(axis=0)
         return gx, gw, gb
 
-    return _record(out, (x, w) if b is None else (x, w, b), vjp)
+    return _record(out, links, vjp)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -311,7 +338,8 @@ def gelu(a: Tensor) -> Tensor:
     derivative is ``0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x**2)``.
     """
     x = a.data
-    recording = _recording((a,)) is not None
+    links = _links((a,))
+    recording = links is not None
     x2 = x * x
     t = x2 * x if recording else np.multiply(x2, x, out=x2)
     t *= 0.044715
@@ -341,7 +369,7 @@ def gelu(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * d,)
 
-    return _record(out, (a,), vjp)
+    return _record(out, links, vjp)
 
 
 def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -358,6 +386,9 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
+    links = _links((a,))
+    if links is None:
+        return out
 
     def vjp(g):
         ga = g * y
@@ -366,7 +397,7 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
         ga *= y
         return (ga,)
 
-    return _record(out, (a,), vjp)
+    return _record(out, links, vjp)
 
 
 def _mean_last(x: np.ndarray, n: int) -> np.ndarray:
@@ -398,11 +429,15 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     np.multiply(xhat, gd, out=y)
     y += bias.data
     out = Tensor(y)
+    links = _links((a, gain, bias))
+    if links is None:
+        return out
+    a_tracked, gain_tracked, bias_tracked = links[0] is not None, links[1] is not None, links[2] is not None
 
     def vjp(g):
         ga = gg = gb = None
         scratch = None
-        if _tracked(a):
+        if a_tracked:
             # d/dx of (x - mu)/sigma: remove the mean and the xhat projection
             ga = g * gd
             scratch = ga * xhat
@@ -411,13 +446,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             np.multiply(xhat, proj, out=scratch)
             ga -= scratch
             ga *= inv
-        if _tracked(gain):
+        if gain_tracked:
             gg = np.multiply(g, xhat, out=scratch).reshape(-1, d).sum(axis=0)
-        if _tracked(bias):
+        if bias_tracked:
             gb = g.reshape(-1, d).sum(axis=0)
         return ga, gg, gb
 
-    return _record(out, (a, gain, bias), vjp)
+    return _record(out, links, vjp)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -429,28 +464,38 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= rows):
         raise ValueError(f"embedding: id out of range [0, {rows})")
     out = Tensor(table.data[ids])
+    links = _links((table,))
+    if links is None:
+        return out
+    dtype = table.data.dtype
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros((rows, dim), dtype=dtype)
         np.add.at(gt, ids.reshape(-1), g.reshape(-1, dim))
         return (gt,)
 
-    return _record(out, (table,), vjp)
+    return _record(out, links, vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
+    links = _links((a,))
+    if links is None:
+        return out
     old = a.data.shape
 
     def vjp(g):
         return (g.reshape(old),)
 
-    return _record(out, (a,), vjp)
+    return _record(out, links, vjp)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     out = Tensor(a.data.transpose(axes))
+    links = _links((a,))
+    if links is None:
+        return out
     inv = [0] * len(axes)
     for i, ax in enumerate(axes):
         inv[ax] = i  # a negative axis counts from the end, as in numpy
@@ -458,7 +503,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     def vjp(g):
         return (g.transpose(inv),)
 
-    return _record(out, (a,), vjp)
+    return _record(out, links, vjp)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -1) -> Tensor:
@@ -484,6 +529,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -1) -
     rows = np.arange(n)
     nll = -logp[rows, safe_t]
     out = Tensor(np.asarray((nll * valid).sum() / n_valid, dtype=logits.data.dtype))
+    links = _links((logits,))
+    if links is None:
+        return out
 
     def vjp(g):
         p = np.exp(logp)
@@ -492,4 +540,4 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -1) -
         p *= g / n_valid
         return (p,)
 
-    return _record(out, (logits,), vjp)
+    return _record(out, links, vjp)

@@ -21,7 +21,7 @@ from .data import make_task
 from .delta import materialize  # noqa: F401  unused here; only bench/tracing.py patches it
 from .lora import adapters_from_records
 from .models import ModelConfig, build_transformer
-from .train import NumericFailure, TrainConfig, evaluate_ppl, train
+from .train import NumericFailure, TrainConfig, evaluate_ppl, parse_nm, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,10 +113,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    nm = None
-    if args.nm:
-        n, m = args.nm.split(":")
-        nm = (int(n), int(m))
+    nm = parse_nm(args.nm, "--nm") if args.nm else None
     try:
         report = ckpt.inspect_checkpoint(args.checkpoint, nm=nm)
     except ckpt.CheckpointError as e:

@@ -76,8 +76,8 @@ def _tap_sums(forward, tree: ParamTree, names: list[str], batch) -> dict[str, li
     for name in names:
         sums[name] = []
         for arr in taps[name]:
-            a64 = arr.astype(np.float64)
-            sums[name].append(((a64 * a64).sum(axis=0), arr.shape[0]))
+            a64 = arr.astype(np.float64)  # always a fresh copy, so it can be squared in place
+            sums[name].append((np.multiply(a64, a64, out=a64).sum(axis=0), arr.shape[0]))
     return sums
 
 

@@ -68,6 +68,14 @@ class NumericFailure(RuntimeError):
     """Training hit a non-finite loss; surfaced as exit code 3 by the CLI."""
 
 
+def parse_nm(text: str, source: str) -> tuple[int, int]:
+    """``"N:M"`` as ``(N, M)``, two positive integers; ``source`` names the option in the error."""
+    n, sep, m = text.partition(":")
+    if sep and n.isdecimal() and m.isdecimal() and int(n) >= 1 and int(m) >= 1:
+        return int(n), int(m)
+    raise ValueError(f"{source} expects N:M such as 2:4, got {text!r}")
+
+
 @dataclass
 class TrainConfig:
     # model
@@ -156,8 +164,8 @@ class TrainConfig:
         """A copy of ``d`` with the ``"nm": "2:4"`` shorthand written as the N:M pattern fields."""
         d = dict(d)
         if "nm" in d:
-            n, m = str(d.pop("nm")).split(":")
-            d["nm_n"], d["nm_m"], d["pattern"] = int(n), int(m), "nm"
+            d["nm_n"], d["nm_m"] = parse_nm(str(d.pop("nm")), 'config key "nm"')
+            d["pattern"] = "nm"
         return d
 
     @classmethod

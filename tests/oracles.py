@@ -5,18 +5,22 @@ tests also build graphs from the ops here: an elementwise product, a sum to a
 scalar, a scatter-add of values at flat coordinates (criterion 4's dual-graph
 check), ReLU, and a small MLP over them. ``grads_of`` folds one backward into
 one gradient per leaf, and ``grad_check`` compares those gradients against
-finite differences.
+finite differences. ``graph_peak_mb`` measures what one training
+micro-batch's graph holds at its peak.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from sparsevolve.autodiff import ShapeError, Tape, Tensor, _record, _tracked, accumulate, backward
-from sparsevolve.models import INIT_STD, ParamTree, _linear, _tap
+from sparsevolve.autodiff import ShapeError, Tape, Tensor, _links, _record, accumulate, backward
+from sparsevolve.lora import build_adapters
+from sparsevolve.models import INIT_STD, ParamTree, _linear, _tap, build_transformer
+from sparsevolve.train import TrainConfig, _micro_batch
 
 
 def grads_of(loss: Tensor) -> dict[Tensor, np.ndarray]:
@@ -30,23 +34,29 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError("mul", a.data.shape, b.data.shape)
     out = Tensor(a.data * b.data)
+    links = _links((a, b))
+    if links is None:
+        return out
     ad, bd = a.data, b.data
 
     def vjp(g):
         return g * bd, g * ad
 
-    return _record(out, (a, b), vjp)
+    return _record(out, links, vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
+    links = _links((a,))
+    if links is None:
+        return out
     shape = a.data.shape
     dt = a.data.dtype
 
     def vjp(g):
         return (np.full(shape, g, dtype=dt),)
 
-    return _record(out, (a,), vjp)
+    return _record(out, links, vjp)
 
 
 def scatter_add(base: Tensor, index: np.ndarray, values: Tensor) -> Tensor:
@@ -62,23 +72,30 @@ def scatter_add(base: Tensor, index: np.ndarray, values: Tensor) -> Tensor:
     flat = base.data.reshape(-1).copy()
     flat[index] += values.data
     out = Tensor(flat.reshape(base.data.shape))
+    links = _links((base, values))
+    if links is None:
+        return out
+    base_tracked, values_tracked = links[0] is not None, links[1] is not None
 
     def vjp(g):
-        gb = g if _tracked(base) else None
-        gv = g.reshape(-1)[index] if _tracked(values) else None
+        gb = g if base_tracked else None
+        gv = g.reshape(-1)[index] if values_tracked else None
         return gb, gv
 
-    return _record(out, (base, values), vjp)
+    return _record(out, links, vjp)
 
 
 def relu(a: Tensor) -> Tensor:
     keep = a.data > 0
     out = Tensor(np.where(keep, a.data, 0.0))
+    links = _links((a,))
+    if links is None:
+        return out
 
     def vjp(g):
         return (np.where(keep, g, 0.0),)
 
-    return _record(out, (a,), vjp)
+    return _record(out, links, vjp)
 
 
 def build_mlp(dims: list[int], seed: int = 0, dtype=np.float64):
@@ -167,3 +184,33 @@ def grad_check(
         report.per_tensor[name] = worst_here
     report.passed = report.max_rel_err < tol
     return report
+
+
+def graph_peak_mb(adapters: bool) -> float:
+    """The ``tracemalloc`` peak, in MB (2**20 bytes), of one default-model micro-batch's forward and backward.
+
+    Random ids of shape ``(8, 64)`` stand in for a corpus batch. Without
+    ``adapters`` the prunable matrices train, as in ``seft``; with them the
+    base is frozen and rank-32 adapters train, as in ``lora-star``. One
+    micro-batch runs untraced first, so one-time allocations are not counted.
+    """
+    cfg = TrainConfig(corpus="unused")
+    mc = cfg.model_config()
+    tree, forward = build_transformer(mc)
+    tree.set_requires_grad(False)
+    if adapters:
+        adapted = build_adapters(tree, cfg.rank)
+    else:
+        adapted = None
+        tree.set_requires_grad(True, names=tree.prunable_names())
+    rng = np.random.default_rng(0)
+    batch = rng.integers(0, mc.vocab, size=(8, 64)), rng.integers(0, mc.vocab, size=(8, 64))
+    _micro_batch(forward, tree, adapted, mc.vocab, batch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _micro_batch(forward, tree, adapted, mc.vocab, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / 2**20

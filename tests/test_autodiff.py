@@ -11,7 +11,7 @@ from sparsevolve.lora import build_adapters
 from sparsevolve.models import _causal_mask, build_transformer
 from sparsevolve.train import TrainConfig
 
-from oracles import build_mlp, grad_check, grads_of, mul, relu, scatter_add, sum_all
+from oracles import build_mlp, grad_check, grads_of, graph_peak_mb, mul, relu, scatter_add, sum_all
 
 
 def test_matmul_identity():
@@ -303,6 +303,7 @@ def test_linear_bitwise_equals_three_node_graph(x_shape, out_dim, dtype):
     for got, want in zip(*results):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    assert results[0][2].flags.c_contiguous  # the weight gradient is row-major, like the weight
 
 
 def test_linear_fd_oracle():
@@ -335,7 +336,7 @@ def test_mid_graph_activation_freed_before_backward_returns():
             alive_at_probe.append(mid() is not None)
             return (g,)
 
-        return ad._record(Tensor(t.data.copy()), (t,), vjp)
+        return ad._record(Tensor(t.data.copy()), ad._links((t,)), vjp)
 
     with Tape():
         h = ad.gelu(ad.scale(probe(x), 2.0))
@@ -345,6 +346,74 @@ def test_mid_graph_activation_freed_before_backward_returns():
         grads = grads_of(loss)
     assert alive_at_probe == [False]
     assert x in grads
+
+
+def _tracked_inputs(*shapes):
+    rng = np.random.default_rng(5)
+    return [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+
+# every op of the engine, with every input tracked
+OPS = {
+    "add": lambda: ad.add(*_tracked_inputs((2, 3), (2, 3))),
+    "add-bias": lambda: ad.add(*_tracked_inputs((2, 3), (3,))),
+    "scale": lambda: ad.scale(*_tracked_inputs((2, 3)), 2.0),
+    "matmul": lambda: ad.matmul(*_tracked_inputs((2, 4, 3), (3, 5))),
+    "matmul-stacked": lambda: ad.matmul(*_tracked_inputs((2, 4, 3), (2, 3, 5))),
+    "linear": lambda: ad.linear(*_tracked_inputs((2, 4, 3), (5, 3))),
+    "linear-bias": lambda: ad.linear(*_tracked_inputs((2, 4, 3), (5, 3), (5,))),
+    "gelu": lambda: ad.gelu(*_tracked_inputs((2, 3))),
+    "softmax": lambda: ad.softmax(*_tracked_inputs((2, 3, 3))),
+    "softmax-masked": lambda: ad.softmax(*_tracked_inputs((2, 3, 3)), _causal_mask(3, np.float64)),
+    "layer_norm": lambda: ad.layer_norm(*_tracked_inputs((2, 4, 3), (3,), (3,))),
+    "embedding": lambda: ad.embedding(*_tracked_inputs((5, 3)), np.array([[1, 4]])),
+    "reshape": lambda: ad.reshape(*_tracked_inputs((2, 3)), (3, 2)),
+    "transpose": lambda: ad.transpose(*_tracked_inputs((2, 3)), (1, 0)),
+    "cross_entropy": lambda: ad.cross_entropy(*_tracked_inputs((4, 3)), np.array([0, 2, 1, -1])),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_no_vjp_closure_holds_a_tensor(op):
+    with Tape():
+        out = OPS[op]()
+    held = []
+    for cell in out.node.vjp.__closure__ or ():
+        value = cell.cell_contents
+        held.extend(value if isinstance(value, (tuple, list)) else [value])
+    assert not [v for v in held if isinstance(v, Tensor)]
+    assert all(link is None or isinstance(link, (ad._Node, Tensor)) for link in out.node.parents)
+
+
+def test_a_frozen_weight_linear_does_not_keep_its_input():
+    leaf, w = Tensor(np.ones((2, 4, 3)), requires_grad=True), Tensor(np.ones((5, 3)))
+    with Tape():
+        x = ad.scale(leaf, 2.0)
+        loss = sum_all(ad.linear(x, w))
+        data = weakref.ref(x.data)
+        del x
+        assert data() is None  # before backward
+        grads = grads_of(loss)
+    np.testing.assert_array_equal(grads[leaf], np.full((2, 4, 3), 10.0))
+
+
+@pytest.mark.parametrize("op", ["scale", "softmax"])
+def test_the_input_of_scale_and_softmax_is_freed_when_the_forward_drops_it(op):
+    leaf = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with Tape():
+        a = ad.gelu(leaf)
+        data = weakref.ref(a.data)
+        y = ad.scale(a, 3.0) if op == "scale" else ad.softmax(a)
+        del a
+        assert data() is None  # before backward
+        grads = grads_of(sum_all(mul(y, y)))
+    assert grads[leaf].shape == (2, 3) and np.all(np.isfinite(grads[leaf]))
+
+
+@pytest.mark.parametrize("adapters", [False, True], ids=["seft", "frozen-base-with-adapters"])
+def test_one_micro_batch_graph_peaks_under_14_mb(adapters):
+    # the graph kept every forward intermediate until backward reached it: 17.7 MB (seft), 28.4 MB (adapters)
+    assert graph_peak_mb(adapters) <= 14.0
 
 
 def test_loss_backpropagates_once():

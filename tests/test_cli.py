@@ -68,6 +68,23 @@ def test_inspect_planted_violation_exits_nonzero(tmp_path, capsys):
     assert "violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nm", ["2", "a:b", "2:4:8", "0:4"])
+def test_a_malformed_nm_flag_names_the_expected_form(tmp_path, capsys, nm):
+    assert run(["prune", *BASE, "--out-dir", str(tmp_path), "--run-name", "p"]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["inspect", str(tmp_path / "p.ckpt"), "--nm", nm]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --nm expects N:M such as 2:4, got {nm!r}\n"
+
+
+def test_a_malformed_nm_config_key_names_the_expected_form(tmp_path, capsys):
+    p = tmp_path / "nm.json"
+    p.write_text(json.dumps({"task": "copy", "sparsity": 0.5, "nm": "2", "out_dir": str(tmp_path)}))
+    assert run(["prune", "--config", str(p)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: config key \"nm\" expects N:M such as 2:4, got '2'\n"
+    with pytest.raises(ValueError, match="expects N:M such as 2:4, got 'a:b'"):
+        TrainConfig.from_dict({"task": "copy", "sparsity": 0.5, "nm": "a:b"})
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(["bogus"]) == EXIT_USAGE
     assert run(["finetune", "--method", "nonsense"]) == EXIT_USAGE
