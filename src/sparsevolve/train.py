@@ -415,7 +415,7 @@ def _micro_batch(forward, tree, adapters, vocab: int, batch) -> tuple[float, dic
     with ad.Tape():
         logits = forward(tree, x, adapters=adapters)
         loss = ad.cross_entropy(ad.reshape(logits, (-1, vocab)), y.reshape(-1), ignore_index=IGNORE)
-        del logits  # backward frees each activation after its VJP, unless something else holds it
+        del logits  # no VJP reads the logits, so dropping them here frees them before backward
         store = ad.backward(loss)
     return loss.item(), store
 

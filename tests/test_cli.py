@@ -70,9 +70,7 @@ def test_inspect_planted_violation_exits_nonzero(tmp_path, capsys):
 
 @pytest.mark.parametrize("nm", ["2", "a:b", "2:4:8", "0:4"])
 def test_a_malformed_nm_flag_names_the_expected_form(tmp_path, capsys, nm):
-    assert run(["prune", *BASE, "--out-dir", str(tmp_path), "--run-name", "p"]) == EXIT_OK
-    capsys.readouterr()
-    assert run(["inspect", str(tmp_path / "p.ckpt"), "--nm", nm]) == EXIT_USAGE
+    assert run(["inspect", str(tmp_path / "any.ckpt"), "--nm", nm]) == EXIT_USAGE  # parsed before the file is read
     assert capsys.readouterr().err == f"error: --nm expects N:M such as 2:4, got {nm!r}\n"
 
 
