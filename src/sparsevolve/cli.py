@@ -68,8 +68,11 @@ def _build_config(args: argparse.Namespace, **forced) -> TrainConfig:
 
 
 def _model_from_meta(path: str) -> tuple[ModelConfig, TrainConfig]:
-    meta = ckpt.load_meta(path)
-    cfg = TrainConfig.from_dict(meta["config"])
+    config = ckpt.load_meta(path)["config"]
+    if "pattern" in config:  # older meta spelled the N:M pattern as three fields
+        pattern, n, m = config.pop("pattern"), config.pop("nm_n"), config.pop("nm_m")
+        config["nm"] = f"{n}:{m}" if pattern == "nm" else ""
+    cfg = TrainConfig.from_dict(config)
     return cfg.model_config(), cfg
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .models import INIT_STD, ParamTree
-from .pruning import UNSTRUCTURED, Mask, masked_base, prune_model
+from .pruning import Mask, masked_base, prune_model
 from .pruning import collect_activation_norms  # noqa: F401  unused here; only bench/tracing.py patches it
 
 
@@ -80,9 +80,7 @@ def merge_and_reprune(
     calib_batches,
     sparsity: float,
     scorer: str = "wanda",
-    pattern: str = UNSTRUCTURED,
-    n: int = 0,
-    m: int = 0,
+    nm: tuple[int, int] | None = None,
 ) -> tuple[dict[str, Mask], dict[str, np.ndarray]]:
     """LoRA*: fold the adapters into the masked base, then prune back to budget.
 
@@ -93,4 +91,4 @@ def merge_and_reprune(
     base = masked_base({name: tensor.data for name, tensor in tree.named_prunable()}, masks)
     for name, tensor in tree.named_prunable():
         tensor.data = base[name] + adapters[name].delta_matrix().astype(tensor.data.dtype)
-    return prune_model(tree, forward, calib_batches, sparsity, scorer=scorer, pattern=pattern, n=n, m=m)
+    return prune_model(tree, forward, calib_batches, sparsity, scorer=scorer, nm=nm)

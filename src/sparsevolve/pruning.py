@@ -22,10 +22,6 @@ import numpy as np
 from . import parallel
 from .models import ParamTree
 
-UNSTRUCTURED = "unstructured"
-NM = "nm"
-
-
 @dataclass
 class Mask:
     """Binary indicator of active base weights for one tensor."""
@@ -115,19 +111,13 @@ def score_wanda(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return np.abs(w) * norms
 
 
-def build_mask(
-    scores: np.ndarray,
-    sparsity: float,
-    pattern: str = UNSTRUCTURED,
-    n: int = 0,
-    m: int = 0,
-    name: str = "",
-) -> Mask:
+def build_mask(scores: np.ndarray, sparsity: float, nm: tuple[int, int] | None = None, name: str = "") -> Mask:
     """Keep the highest-scoring coordinates subject to the sparsity budget.
 
-    Unstructured clears the lowest floor(sparsity*row_len) scores within each
-    output row. N:M keeps the n best of every aligned group of m consecutive
-    input-dim weights. Ties always break toward the lower coordinate index.
+    Unstructured (``nm`` None) clears the lowest floor(sparsity*row_len)
+    scores within each output row. ``nm=(n, m)`` keeps the n best of every
+    aligned group of m consecutive input-dim weights. Ties always break
+    toward the lower coordinate index.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
@@ -137,11 +127,12 @@ def build_mask(
     rows, cols = scores.shape
     bits = np.zeros_like(scores, dtype=bool)
 
-    if pattern == UNSTRUCTURED:
+    if nm is None:
         keep = cols - int(np.floor(sparsity * cols))
         order = np.argsort(-scores, axis=1, kind="stable")
         np.put_along_axis(bits, order[:, :keep], True, axis=1)
-    elif pattern == NM:
+    else:
+        n, m = nm
         if m < 1 or n < 0:
             raise ValueError(f"build_mask: invalid N:M parameters {n}:{m}")
         if n > m:
@@ -153,8 +144,6 @@ def build_mask(
         gbits = np.zeros_like(grouped, dtype=bool)
         np.put_along_axis(gbits, order[:, :, :n], True, axis=2)
         bits = gbits.reshape(rows, cols)
-    else:
-        raise ValueError(f"build_mask: unknown pattern {pattern!r}")
 
     return Mask(name=name, bits=bits)
 
@@ -181,11 +170,10 @@ def prune_model(
     calib_batches,
     sparsity: float,
     scorer: str = "wanda",
-    pattern: str = UNSTRUCTURED,
-    n: int = 0,
-    m: int = 0,
+    nm: tuple[int, int] | None = None,
 ) -> tuple[dict[str, Mask], dict[str, np.ndarray]]:
-    """Score the live weights, build the masks and apply them; returns (masks, retained dense weights)."""
+    """Score the live weights, build the masks (N:M when ``nm`` is given) and apply them;
+    returns (masks, retained dense weights)."""
     if scorer == "wanda":
         acts = collect_activation_norms(forward, tree, calib_batches)
     elif scorer == "magnitude":
@@ -196,5 +184,5 @@ def prune_model(
     for name, tensor in tree.named_prunable():
         w = tensor.data
         scores = score_wanda(w, acts[name].norms) if acts is not None else np.abs(w)
-        masks[name] = build_mask(scores, sparsity, pattern=pattern, n=n, m=m, name=name)
+        masks[name] = build_mask(scores, sparsity, nm=nm, name=name)
     return masks, apply_mask(tree, masks)

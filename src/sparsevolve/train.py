@@ -69,9 +69,9 @@ class NumericFailure(RuntimeError):
 
 
 def parse_nm(text: str, source: str) -> tuple[int, int]:
-    """``"N:M"`` as ``(N, M)``, two positive integers; ``source`` names the option in the error."""
+    """``"N:M"`` as ``(N, M)``, integers with 1 <= N <= M; ``source`` names the option in the error."""
     n, sep, m = text.partition(":")
-    if sep and n.isdecimal() and m.isdecimal() and int(n) >= 1 and int(m) >= 1:
+    if sep and n.isdecimal() and m.isdecimal() and 1 <= int(n) <= int(m):
         return int(n), int(m)
     raise ValueError(f"{source} expects N:M such as 2:4, got {text!r}")
 
@@ -92,9 +92,7 @@ class TrainConfig:
     # sparsity
     sparsity: float = 0.6
     pruner: str = "wanda"  # magnitude | wanda
-    pattern: str = "unstructured"  # unstructured | nm
-    nm_n: int = 0
-    nm_m: int = 0
+    nm: str = ""  # "N:M" (e.g. "2:4") keeps N of every M consecutive input weights; "" is unstructured
     # method
     method: str = "seft"
     rank: int = 32
@@ -125,16 +123,23 @@ class TrainConfig:
             raise ValueError("every, grad_accum and batch_size must be >= 1")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.pattern == "nm" and (self.nm_n < 1 or self.nm_m < 1):
-            raise ValueError("N:M pattern requires nm_n and nm_m")
-        if self.pattern == "nm" and not math.isclose(self.sparsity, 1.0 - self.nm_n / self.nm_m):
+        if not 0.0 < self.drop_rate < 1.0:
+            raise ValueError(f"drop_rate must be in (0, 1), got {self.drop_rate}")
+        if self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        nm = self.nm_pair()
+        if nm and not math.isclose(self.sparsity, 1.0 - nm[0] / nm[1]):
             raise ValueError(
-                f"sparsity {self.sparsity} disagrees with {self.nm_n}:{self.nm_m}, which keeps exactly 1 - N/M = {1.0 - self.nm_n / self.nm_m}"
+                f"sparsity {self.sparsity} disagrees with {self.nm}, which keeps exactly 1 - N/M = {1.0 - nm[0] / nm[1]}"
             )
-        if self.pattern not in ("unstructured", "nm"):
-            raise ValueError(f"unknown pattern {self.pattern!r}")
         if self.task == "char-lm" and self.corpus is None:
             raise ValueError("char-lm task requires a corpus")
+
+    def nm_pair(self) -> tuple[int, int] | None:
+        """The N:M pattern as ``(N, M)``, or None for unstructured masks."""
+        return parse_nm(str(self.nm), 'config key "nm"') if self.nm else None
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -159,19 +164,8 @@ class TrainConfig:
         # every field is a scalar or a string: no deep copy (dataclasses.asdict) needed
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
-    @staticmethod
-    def _expand_nm(d: dict) -> dict:
-        """A copy of ``d`` with the ``"nm": "2:4"`` shorthand written as the N:M pattern fields."""
-        d = dict(d)
-        if "nm" in d:
-            d["nm_n"], d["nm_m"] = parse_nm(str(d.pop("nm")), 'config key "nm"')
-            d["pattern"] = "nm"
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Build from a field dict; ``"nm": "2:4"`` stands for the N:M pattern fields."""
-        d = cls._expand_nm(d)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -180,9 +174,9 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path: str, overrides: dict | None = None) -> "TrainConfig":
-        """The file's fields with ``overrides`` laid over them; the file's ``"nm"`` shorthand is expanded first."""
+        """The file's fields with ``overrides`` laid over them."""
         with open(path, "r", encoding="utf-8") as f:
-            d = cls._expand_nm(json.load(f))
+            d = json.load(f)
         if overrides:
             d.update(overrides)
         return cls.from_dict(d)
@@ -317,16 +311,7 @@ def _prune(cfg: TrainConfig, tree: ParamTree, forward, task: Task) -> tuple[dict
             masks = {name: Mask(name, bits) for name, bits in state.masks.items()}
             return masks, apply_mask(tree, masks)
     calib = task.calib(cfg.calib_batches)
-    return prune_model(
-        tree,
-        forward,
-        calib,
-        cfg.sparsity,
-        scorer=cfg.pruner,
-        pattern=cfg.pattern,
-        n=cfg.nm_n,
-        m=cfg.nm_m,
-    )
+    return prune_model(tree, forward, calib, cfg.sparsity, scorer=cfg.pruner, nm=cfg.nm_pair())
 
 
 def _paths(cfg: TrainConfig) -> tuple[str, str, str]:
@@ -447,7 +432,7 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
         drop_rate=cfg.drop_rate,
         total_steps=cfg.steps,
         every=cfg.every,
-        restrict_growth=cfg.pattern == "nm" or cfg.method == "seft-constrained",
+        restrict_growth=bool(cfg.nm) or cfg.method == "seft-constrained",
         cosine=cfg.cosine,
     )
     budgets = allocate_budget(tree, cfg.rank)
@@ -549,8 +534,7 @@ def _train_lora(cfg, tree, forward, task, rng, masks, theta, metrics, timings, e
 
     if cfg.method == "lora-star":
         new_masks, merged = merge_and_reprune(
-            tree, forward, masks, adapters, task.calib(cfg.calib_batches), cfg.sparsity,
-            scorer=cfg.pruner, pattern=cfg.pattern, n=cfg.nm_n, m=cfg.nm_m,
+            tree, forward, masks, adapters, task.calib(cfg.calib_batches), cfg.sparsity, scorer=cfg.pruner, nm=cfg.nm_pair()
         )
         theta.update(merged)
         masks.clear()

@@ -254,7 +254,7 @@ def test_criterion_3_topk_oracle():
         np.testing.assert_array_equal(build_mask(scores, sparsity).bits, brute_row_mask(scores, sparsity))
         if cols % 4 == 0:
             np.testing.assert_array_equal(
-                build_mask(scores, 0.5, pattern="nm", n=2, m=4).bits, brute_nm_mask(scores, 2, 4)
+                build_mask(scores, 0.5, nm=(2, 4)).bits, brute_nm_mask(scores, 2, 4)
             )
         # rebuild_mask
         sup_n = int(rng.integers(1, numel + 1))
@@ -349,7 +349,7 @@ def test_criterion_5_nm_feasibility(tmp_path):
 
     cfg = TrainConfig(
         vocab=32, dim=64, heads=4, blocks=2, ff_mult=2, context=12, task="copy",
-        copy_vocab=16, sparsity=0.5, pattern="nm", nm_n=2, nm_m=4, method="seft",
+        copy_vocab=16, sparsity=0.5, nm="2:4", method="seft",
         rank=4, lr=1e-3, steps=1000, every=10, grad_accum=1, batch_size=2, seed=2,
         eval_every=0, calib_batches=2, out_dir=str(tmp_path), run_name="c5",
     )
@@ -547,7 +547,7 @@ def test_criterion_11_determinism_and_format(tmp_path):
     from sparsevolve.cli import EXIT_INVARIANT, main
 
     nm_cfg = TrainConfig(
-        out_dir=str(tmp_path / "nm"), run_name="nm", pattern="nm", nm_n=2, nm_m=4,
+        out_dir=str(tmp_path / "nm"), run_name="nm", nm="2:4",
         **{**kw, "sparsity": 0.5, "method": "frozen", "steps": 0},
     )
     nm = train(nm_cfg)

@@ -193,7 +193,7 @@ def test_inspect_valid_24_checkpoint(tmp_path):
     cfg = ModelConfig(vocab=16, dim=64, heads=4, blocks=1, context=4, seed=4)
     tree, forward = build_transformer(cfg)
     ids = np.random.default_rng(4).integers(0, 16, size=(2, 4))
-    masks, theta = prune_model(tree, forward, [ids], 0.5, pattern="nm", n=2, m=4)
+    masks, theta = prune_model(tree, forward, [ids], 0.5, nm=(2, 4))
     p = str(tmp_path / "l.ckpt")
     ck.write_checkpoint(p, ck.state_records(tree, theta, masks, None))
     report = ck.inspect_checkpoint(p, nm=(2, 4))
@@ -205,7 +205,7 @@ def test_inspect_flags_planted_nm_violation(tmp_path):
     cfg = ModelConfig(vocab=16, dim=64, heads=4, blocks=1, context=4, seed=5)
     tree, forward = build_transformer(cfg)
     ids = np.random.default_rng(5).integers(0, 16, size=(2, 4))
-    masks, theta = prune_model(tree, forward, [ids], 0.5, pattern="nm", n=2, m=4)
+    masks, theta = prune_model(tree, forward, [ids], 0.5, nm=(2, 4))
     masks["block0.attn.wq"].bits[0, 0:3] = True  # 3 nonzeros in a 2:4 group
     p = str(tmp_path / "m.ckpt")
     ck.write_checkpoint(p, ck.state_records(tree, theta, masks, None))

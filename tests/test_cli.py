@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import shutil
 
 import numpy as np
 import pytest
 
 from sparsevolve import checkpoint as ck
+from sparsevolve import cli
 from sparsevolve.cli import ABLATION_GRIDS, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from sparsevolve.train import TrainConfig
 
@@ -54,7 +57,7 @@ def test_merge_and_inspect(tmp_path, capsys):
 
 def test_inspect_planted_violation_exits_nonzero(tmp_path, capsys):
     run([
-        "prune", *BASE[:-4], "--nm-n", "2", "--nm-m", "4", "--pattern", "nm",
+        "prune", *BASE[:-4], "--nm", "2:4",
         "--out-dir", str(tmp_path), "--run-name", "v1",
     ])
     ckpt = str(tmp_path / "v1.ckpt")
@@ -68,7 +71,7 @@ def test_inspect_planted_violation_exits_nonzero(tmp_path, capsys):
     assert "violation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("nm", ["2", "a:b", "2:4:8", "0:4"])
+@pytest.mark.parametrize("nm", ["2", "a:b", "2:4:8", "0:4", "5:4"])
 def test_a_malformed_nm_flag_names_the_expected_form(tmp_path, capsys, nm):
     assert run(["inspect", str(tmp_path / "any.ckpt"), "--nm", nm]) == EXIT_USAGE  # parsed before the file is read
     assert capsys.readouterr().err == f"error: --nm expects N:M such as 2:4, got {nm!r}\n"
@@ -81,6 +84,27 @@ def test_a_malformed_nm_config_key_names_the_expected_form(tmp_path, capsys):
     assert capsys.readouterr().err == "error: config key \"nm\" expects N:M such as 2:4, got '2'\n"
     with pytest.raises(ValueError, match="expects N:M such as 2:4, got 'a:b'"):
         TrainConfig.from_dict({"task": "copy", "sparsity": 0.5, "nm": "a:b"})
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--drop-rate", "1.5"], "drop_rate must be in (0, 1), got 1.5"),
+        (["--drop-rate", "0"], "drop_rate must be in (0, 1), got 0.0"),
+        (["--rank", "0"], "rank must be >= 1, got 0"),
+        (["--lr", "-1"], "lr must be finite and > 0, got -1.0"),
+        (["--lr", "0"], "lr must be finite and > 0, got 0.0"),
+        (["--lr", "inf"], "lr must be finite and > 0, got inf"),
+        (["--lr", "nan"], "lr must be finite and > 0, got nan"),
+        (["--nm", "5:4"], "config key \"nm\" expects N:M such as 2:4, got '5:4'"),
+    ],
+)
+def test_an_untrainable_config_is_refused_before_any_file_is_written(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["finetune", *BASE, *flags, "--out-dir", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(out) == []
 
 
 def test_usage_errors_exit_one(capsys):
@@ -122,11 +146,57 @@ def test_nm_flags_override_the_config_files_nm_shorthand(tmp_path):
     }
     p = tmp_path / "nm.json"
     p.write_text(json.dumps(cfg))
-    assert run(["prune", "--config", str(p), "--nm-n", "1", "--nm-m", "2", "--run-name", "nm12"]) == EXIT_OK
+    assert run(["prune", "--config", str(p), "--nm", "1:2", "--run-name", "nm12"]) == EXIT_OK
     ckpt = str(tmp_path / "nm12.ckpt")
     meta = ck.load_meta(ckpt)["config"]
-    assert (meta["pattern"], meta["nm_n"], meta["nm_m"]) == ("nm", 1, 2)
+    assert meta["nm"] == "1:2"
     assert run(["inspect", ckpt, "--nm", "1:2"]) == EXIT_OK  # one of every two kept, not two of four
+
+
+@pytest.mark.parametrize("nm", ["", "2:4"])
+def test_eval_reads_a_checkpoint_whose_meta_spells_the_pattern_as_three_fields(tmp_path, capsys, nm):
+    assert run(["prune", *BASE, "--nm", nm, "--out-dir", str(tmp_path), "--run-name", "old"]) == EXIT_OK
+    ckpt = str(tmp_path / "old.ckpt")
+    capsys.readouterr()
+    assert run(["eval", ckpt]) == EXIT_OK
+    before = capsys.readouterr().out
+    meta = ck.load_meta(ckpt)
+    config = {}
+    for key, value in meta["config"].items():
+        if key == "nm":  # the three fields stood where nm stands
+            n, m = nm.split(":") if nm else (0, 0)
+            config.update(pattern="nm" if nm else "unstructured", nm_n=int(n), nm_m=int(m))
+        else:
+            config[key] = value
+    meta["config"] = config
+    with open(ckpt + ".json", "w", encoding="utf-8") as f:
+        json.dump(meta, f)
+    assert run(["eval", ckpt]) == EXIT_OK
+    assert capsys.readouterr().out == before
+    assert before.startswith("val perplexity ")
+
+
+def readme_cli_lines() -> list[str]:
+    """The ``sparsevolve ...`` lines of the README's CLI code block."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as f:
+        block = re.search(r"^## CLI\n\n```\n(.*?)^```", f.read(), re.M | re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("sparsevolve ")]
+
+
+def test_every_readme_cli_line_parses(monkeypatch):
+    lines = readme_cli_lines()
+    assert {shlex.split(line)[1] for line in lines} == {"prune", "finetune", "eval", "merge", "inspect", "ablate"}
+
+    def builds_config(args):
+        cli._build_config(args)
+        return EXIT_OK
+
+    for name in ("prune", "finetune", "ablate"):
+        monkeypatch.setattr(cli, f"cmd_{name}", builds_config)
+    for name in ("eval", "merge", "inspect"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: EXIT_OK)
+    for line in lines:
+        assert run(shlex.split(line)[1:]) == EXIT_OK, line
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

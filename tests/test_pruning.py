@@ -110,15 +110,15 @@ def test_build_mask_rejects_degenerate():
     with pytest.raises(ValueError):
         build_mask(np.zeros((2, 2)), -0.1)
     with pytest.raises(ValueError, match="N=3 exceeds M"):
-        build_mask(np.zeros((2, 4)), 0.5, pattern="nm", n=3, m=2)
+        build_mask(np.zeros((2, 4)), 0.5, nm=(3, 2))
     with pytest.raises(ValueError, match="divisible"):
-        build_mask(np.zeros((2, 6)), 0.5, pattern="nm", n=2, m=4)
+        build_mask(np.zeros((2, 6)), 0.5, nm=(2, 4))
 
 
 def test_build_mask_24_spec_instance():
     # brute-force enumeration over all C(4,2) keep-sets per group
     scores = np.array([[5.0, 1.0, 4.0, 2.0, 0.0, 9.0, 3.0, 3.0]])
-    mask = build_mask(scores, 0.5, pattern="nm", n=2, m=4)
+    mask = build_mask(scores, 0.5, nm=(2, 4))
     row = scores[0]
     expect = np.zeros(8, dtype=bool)
     for g in range(2):
@@ -151,7 +151,7 @@ def test_row_grouping_matches_brute_force_with_ties():
 def test_nm_group_constraint_property(rows, groups, m, seed):
     n = max(1, m // 2)
     scores = np.random.default_rng(seed).normal(size=(rows, groups * m))
-    mask = build_mask(scores, 1 - n / m, pattern="nm", n=n, m=m)
+    mask = build_mask(scores, 1 - n / m, nm=(n, m))
     assert mask.nm_violations(n, m) == []
     counts = mask.bits.reshape(rows, groups, m).sum(axis=2)
     np.testing.assert_array_equal(counts, n)

@@ -126,12 +126,12 @@ def test_aborted_run_keeps_its_metrics_rows(tmp_path):
 def test_config_dict_equals_asdict(tmp_path):
     import dataclasses
 
-    cfg = cfg_for(tmp_path, pattern="nm", nm_n=2, nm_m=4, sparsity=0.5, run_name="d")
+    cfg = cfg_for(tmp_path, nm="2:4", sparsity=0.5, run_name="d")
     assert list(cfg.to_dict().items()) == list(dataclasses.asdict(cfg).items())
 
 
 def test_structured_mode_trains(tmp_path):
-    res = train(cfg_for(tmp_path, pattern="nm", nm_n=2, nm_m=4, sparsity=0.5, rank=4, run_name="nm"))
+    res = train(cfg_for(tmp_path, nm="2:4", sparsity=0.5, rank=4, run_name="nm"))
     report = ck.inspect_checkpoint(res.checkpoint, nm=(2, 4))
     assert not report.nm_violations
 
@@ -181,9 +181,9 @@ def test_copy_shaped_run_records_inline_micro_batches(tmp_path):
 
 def test_nm_pattern_rejects_mismatched_sparsity():
     with pytest.raises(ValueError, match="1 - N/M"):
-        TrainConfig(task="copy", pattern="nm", nm_n=2, nm_m=4, sparsity=0.6)
-    TrainConfig(task="copy", pattern="nm", nm_n=2, nm_m=4, sparsity=0.5)
-    TrainConfig(task="copy", pattern="nm", nm_n=1, nm_m=3, sparsity=1 - 1 / 3)
+        TrainConfig(task="copy", nm="2:4", sparsity=0.6)
+    TrainConfig(task="copy", nm="2:4", sparsity=0.5)
+    TrainConfig(task="copy", nm="1:3", sparsity=1 - 1 / 3)
 
 
 def test_timings_separate_from_metrics(tmp_path):
@@ -216,7 +216,7 @@ def test_config_file_nm_shorthand(tmp_path):
     p = tmp_path / "nm.json"
     p.write_text(json.dumps(d))
     cfg = TrainConfig.from_file(str(p))
-    assert (cfg.pattern, cfg.nm_n, cfg.nm_m) == ("nm", 2, 4)
+    assert cfg.nm == "2:4"
     assert TrainConfig.from_dict(d) == cfg
     assert d == {"task": "copy", "sparsity": 0.5, "nm": "2:4"}  # the caller's dict is left as it was
 
@@ -224,10 +224,10 @@ def test_config_file_nm_shorthand(tmp_path):
 def test_config_file_nm_shorthand_yields_to_overrides(tmp_path):
     p = tmp_path / "nm.json"
     p.write_text(json.dumps({"task": "copy", "sparsity": 0.5, "nm": "2:4"}))
-    cfg = TrainConfig.from_file(str(p), overrides={"nm_n": 1, "nm_m": 2})
-    assert (cfg.pattern, cfg.nm_n, cfg.nm_m) == ("nm", 1, 2)
-    cfg = TrainConfig.from_file(str(p), overrides={"pattern": "unstructured"})
-    assert cfg.pattern == "unstructured"
+    cfg = TrainConfig.from_file(str(p), overrides={"nm": "1:2"})
+    assert cfg.nm == "1:2"
+    cfg = TrainConfig.from_file(str(p), overrides={"nm": ""})
+    assert cfg.nm == ""
 
 
 def test_base_checkpoint_flow(tmp_path):
@@ -255,7 +255,7 @@ def test_lora_star_reprune_keeps_the_nm_pattern(tmp_path, monkeypatch):
         return masks, merged
 
     monkeypatch.setattr(train_mod, "merge_and_reprune", recording)
-    cfg = cfg_for(tmp_path, method="lora-star", pattern="nm", nm_n=2, nm_m=4, sparsity=0.5, rank=4, steps=10, run_name="ls-nm")
+    cfg = cfg_for(tmp_path, method="lora-star", nm="2:4", sparsity=0.5, rank=4, steps=10, run_name="ls-nm")
     res = train(cfg)
     (masks,) = repruned
     assert len(masks) == 2 * (4 + 2) + 1
