@@ -37,8 +37,10 @@ log = logging.getLogger(__name__)
 
 SOURCE_PRETRAINED = "pretrained"
 SOURCE_MERGED = "merged"
+SOURCES = (SOURCE_PRETRAINED, SOURCE_MERGED)
 CRITERION_SENSITIVITY = "sensitivity"
 CRITERION_MAGNITUDE = "magnitude"
+CRITERIA = (CRITERION_SENSITIVITY, CRITERION_MAGNITUDE)
 
 
 def keep_budget(numel: int, sparsity: float) -> int:
@@ -70,9 +72,9 @@ def compute_sensitivity(
     under ``masks``, plus the current entries on ``edits``, the event's maps
     over ``delta`` (grown entries are zero).
     """
-    if criterion not in (CRITERION_SENSITIVITY, CRITERION_MAGNITUDE):
+    if criterion not in CRITERIA:
         raise ValueError(f"compute_sensitivity: unknown criterion {criterion!r}")
-    if source not in (SOURCE_PRETRAINED, SOURCE_MERGED):
+    if source not in SOURCES:
         raise ValueError(f"compute_sensitivity: unknown source {source!r}")
     merged = criterion == CRITERION_MAGNITUDE or source == SOURCE_MERGED
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -187,7 +189,6 @@ def repair_support(
 
 @dataclass
 class AdaptationReport:
-    step: int
     pruned_base: int = 0
     pruned_delta: int = 0
     repaired: int = 0
@@ -203,7 +204,6 @@ def adaptation_step(
     edits: dict[str, EditMap],
     sparsity: float,
     base: dict[str, np.ndarray],
-    step: int = 0,
     criterion: str = CRITERION_SENSITIVITY,
     source: str = SOURCE_PRETRAINED,
     restrict_to_mask: bool = False,
@@ -218,7 +218,7 @@ def adaptation_step(
     masks in place.
     """
     scored = compute_sensitivity(window, theta_dense, masks, delta, edits, base, criterion=criterion, source=source)
-    report = AdaptationReport(step=step)
+    report = AdaptationReport()
     for name in delta.slices:
         coords, scores = scored[name]
         pb, pd = rebuild_mask(coords, scores, sparsity, masks[name], edits[name], base[name])

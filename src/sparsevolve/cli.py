@@ -28,8 +28,6 @@ EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_NUMERIC = 3
 
-log = logging.getLogger(__name__)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2

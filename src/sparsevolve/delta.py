@@ -114,7 +114,6 @@ class SparseDelta:
 
     def __init__(self, budgets: dict[str, int], dtype=np.float32):
         self.budgets = dict(budgets)
-        self.dtype = dtype
         self.slices: dict[str, TensorDelta] = {name: TensorDelta(dtype=dtype) for name in budgets}
 
     @property

@@ -107,7 +107,6 @@ def select_grow(
 
 @dataclass
 class EvolutionReport:
-    step: int
     quota: int
     dropped: int
     grown: int
@@ -119,35 +118,24 @@ class EvolutionReport:
         return self.reactivations / self.grown if self.grown else 0.0
 
 
-def apportion(total: int, sizes: list[int], caps: list[int]) -> list[int]:
-    """Split ``total`` proportionally to ``sizes`` under per-slot caps.
+def apportion(total: int, sizes: list[int]) -> list[int]:
+    """Split ``total`` proportionally to ``sizes``; no slot gets more than its size.
 
-    Largest-remainder rounding; deterministic ties by slot order. Excess that
-    cannot be placed under the caps is dropped.
+    Largest-remainder rounding: every slot gets the floor of its exact share,
+    and the ``total - sum(floors)`` slots with the largest remainders one more,
+    ties by slot order. A slot gets one more only when its share has a
+    fractional part, so with ``total <= sum(sizes)`` it stays within its size.
     """
-    if total < 0:
-        raise ValueError("apportion: total must be non-negative")
     weight = sum(sizes)
-    if weight == 0 or total == 0:
+    if not 0 <= total <= weight:
+        raise ValueError(f"apportion: total {total} outside [0, {weight}]")
+    if total == 0:
         return [0] * len(sizes)
     exact = [total * s / weight for s in sizes]
-    out = [min(int(math.floor(e)), c) for e, c in zip(exact, caps)]
-    remainders = sorted(
-        range(len(sizes)),
-        key=lambda i: (-(exact[i] - math.floor(exact[i])), i),
-    )
-    left = total - sum(out)
-    while left > 0:
-        placed = False
-        for i in remainders:
-            if out[i] < caps[i]:
-                out[i] += 1
-                left -= 1
-                placed = True
-                if left == 0:
-                    break
-        if not placed:
-            break
+    out = [math.floor(e) for e in exact]
+    order = sorted(range(len(sizes)), key=lambda i: (-(exact[i] - out[i]), i))
+    for i in order[: total - sum(out)]:
+        out[i] += 1
     return out
 
 
@@ -174,8 +162,8 @@ def evolve(
     quota = min(drop_quota(step, schedule, delta.budget_total), delta.support_size())
     names = list(delta.slices)
     sizes = [len(delta.slices[n]) for n in names]
-    shares = apportion(quota, sizes, caps=sizes)
-    report = EvolutionReport(step=step, quota=quota, dropped=0, grown=0, reactivations=0)
+    shares = apportion(quota, sizes)
+    report = EvolutionReport(quota=quota, dropped=0, grown=0, reactivations=0)
     for name, share in sorted(zip(names, shares)):
         bits = masks[name].bits
         entries = edits[name]

@@ -66,9 +66,6 @@ class ParamTree:
             raise KeyError(f"cannot set unknown parameter {name}")
         self._params[name] = tensor
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def items(self) -> list[tuple[str, Tensor]]:
         return list(self._params.items())
 

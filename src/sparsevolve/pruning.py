@@ -22,6 +22,9 @@ import numpy as np
 from . import parallel
 from .models import ParamTree
 
+SCORERS = ("magnitude", "wanda")
+
+
 @dataclass
 class Mask:
     """Binary indicator of active base weights for one tensor."""
@@ -55,33 +58,25 @@ def masked_base(theta_dense: dict[str, np.ndarray], masks: dict[str, Mask]) -> d
     return base
 
 
-@dataclass
-class ActivationNorms:
-    """Per-input-feature L2 norms of calibration activations."""
-
-    norms: np.ndarray
-    tokens: int
-
-
-def _tap_sums(forward, tree: ParamTree, names: list[str], batch) -> dict[str, list[tuple[np.ndarray, int]]]:
+def _tap_sums(forward, tree: ParamTree, names: list[str], batch) -> dict[str, list[np.ndarray]]:
     """One calibration batch: for each tap of a prunable matrix's input, its
-    float64 per-feature sum of squares and its token count."""
+    float64 per-feature sum of squares."""
     taps: dict[str, list[np.ndarray]] = {n: [] for n in names}
     forward(tree, batch, taps=taps)
-    sums: dict[str, list[tuple[np.ndarray, int]]] = {}
+    sums: dict[str, list[np.ndarray]] = {}
     for name in names:
         sums[name] = []
         for arr in taps[name]:
             a64 = arr.astype(np.float64)  # always a fresh copy, so it can be squared in place
-            sums[name].append((np.multiply(a64, a64, out=a64).sum(axis=0), arr.shape[0]))
+            sums[name].append(np.multiply(a64, a64, out=a64).sum(axis=0))
     return sums
 
 
-def collect_activation_norms(forward, tree: ParamTree, batches) -> dict[str, ActivationNorms]:
+def collect_activation_norms(forward, tree: ParamTree, batches) -> dict[str, np.ndarray]:
     """Run calibration batches and collect per-feature activation norms.
 
-    ``norms[j]`` is the L2 norm over all calibration tokens of the input
-    feature j feeding each prunable matrix. The batches run through
+    ``norms[name][j]`` is the L2 norm over all calibration tokens of the input
+    feature j feeding the prunable matrix ``name``. The batches run through
     ``parallel.ordered_map``; their sums are folded in batch, then tap order,
     so the norms are bitwise those of a one-thread loop.
     """
@@ -91,15 +86,13 @@ def collect_activation_norms(forward, tree: ParamTree, batches) -> dict[str, Act
     names = tree.prunable_names()
     run = functools.partial(_tap_sums, forward, tree, names)
     sumsq: dict[str, np.ndarray] = {}
-    tokens: dict[str, int] = {n: 0 for n in names}
     for sums in parallel.ordered_map(run, batches, parallel.batch_elements(tree, batches[0])):
         for name in names:
-            for s, t in sums[name]:
+            for s in sums[name]:
                 if name not in sumsq:
                     sumsq[name] = np.zeros(s.shape[0], dtype=np.float64)
                 sumsq[name] += s
-                tokens[name] += t
-    return {n: ActivationNorms(np.sqrt(sumsq[n]), tokens[n]) for n in names}
+    return {n: np.sqrt(sumsq[n]) for n in names}
 
 
 def score_wanda(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -174,15 +167,12 @@ def prune_model(
 ) -> tuple[dict[str, Mask], dict[str, np.ndarray]]:
     """Score the live weights, build the masks (N:M when ``nm`` is given) and apply them;
     returns (masks, retained dense weights)."""
-    if scorer == "wanda":
-        acts = collect_activation_norms(forward, tree, calib_batches)
-    elif scorer == "magnitude":
-        acts = None
-    else:
+    if scorer not in SCORERS:
         raise ValueError(f"prune_model: unknown scorer {scorer!r}")
+    norms = collect_activation_norms(forward, tree, calib_batches) if scorer == "wanda" else None
     masks: dict[str, Mask] = {}
     for name, tensor in tree.named_prunable():
         w = tensor.data
-        scores = score_wanda(w, acts[name].norms) if acts is not None else np.abs(w)
+        scores = score_wanda(w, norms[name]) if norms is not None else np.abs(w)
         masks[name] = build_mask(scores, sparsity, nm=nm, name=name)
     return masks, apply_mask(tree, masks)

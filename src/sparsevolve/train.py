@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import logging
 import math
 import os
 import time
@@ -30,8 +29,10 @@ from . import blas_threads, malloc_tuned
 from . import checkpoint as ckpt
 from . import parallel
 from .adaptation import (
+    CRITERIA,
     CRITERION_SENSITIVITY,
     SOURCE_PRETRAINED,
+    SOURCES,
     AdaptationReport,
     adaptation_step,
     merged_support_sparsity,
@@ -54,11 +55,9 @@ from .delta import (
     materialize,
 )
 from .evolution import EvolutionReport, EvolutionSchedule, GradAccumulator, drop_quota, evolve
-from .lora import adapter_records, build_adapters, merge_and_reprune, trainable_count
+from .lora import adapter_records, adapters_from_records, build_adapters, merge_and_reprune, trainable_count
 from .models import ModelConfig, ParamTree, build_transformer
-from .pruning import Mask, apply_mask, masked_base, prune_model
-
-log = logging.getLogger(__name__)
+from .pruning import SCORERS, Mask, apply_mask, masked_base, prune_model
 
 METHODS = ("seft", "seft-constrained", "lora", "lora-star", "frozen")
 OUT_ENV = "SPARSEVOLVE_OUT"
@@ -91,7 +90,7 @@ class TrainConfig:
     copy_vocab: int = 16
     # sparsity
     sparsity: float = 0.6
-    pruner: str = "wanda"  # magnitude | wanda
+    pruner: str = "wanda"  # one of pruning.SCORERS
     nm: str = ""  # "N:M" (e.g. "2:4") keeps N of every M consecutive input weights; "" is unstructured
     # method
     method: str = "seft"
@@ -129,6 +128,18 @@ class TrainConfig:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
+        if self.copy_vocab < 1:
+            raise ValueError(f"copy_vocab must be >= 1, got {self.copy_vocab}")
+        if self.pruner not in SCORERS:
+            raise ValueError(f"unknown pruner {self.pruner!r}; expected one of {SCORERS}")
+        if self.pruner == "wanda" and self.calib_batches < 1:
+            raise ValueError(f"the wanda pruner needs calib_batches >= 1, got {self.calib_batches}")
+        if self.adapt_criterion not in CRITERIA:
+            raise ValueError(f"unknown adapt_criterion {self.adapt_criterion!r}; expected one of {CRITERIA}")
+        if self.adapt_source not in SOURCES:
+            raise ValueError(f"unknown adapt_source {self.adapt_source!r}; expected one of {SOURCES}")
         nm = self.nm_pair()
         if nm and not math.isclose(self.sparsity, 1.0 - nm[0] / nm[1]):
             raise ValueError(
@@ -139,7 +150,7 @@ class TrainConfig:
 
     def nm_pair(self) -> tuple[int, int] | None:
         """The N:M pattern as ``(N, M)``, or None for unstructured masks."""
-        return parse_nm(str(self.nm), 'config key "nm"') if self.nm else None
+        return parse_nm(str(self.nm), "nm") if self.nm else None
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -189,7 +200,6 @@ class EventState:
     step: int
     masks: dict[str, Mask]
     delta: SparseDelta
-    theta_dense: dict[str, np.ndarray]
     evolution: EvolutionReport
     adaptation: AdaptationReport | None
 
@@ -235,9 +245,7 @@ class MetricsWriter:
     ]
 
     def __init__(self, path: str, tensor_names: list[str]):
-        self.path = path
-        self.tensor_names = list(tensor_names)
-        self.cols = self.BASE_COLS + [f"sparsity:{n}" for n in self.tensor_names]
+        self.cols = self.BASE_COLS + [f"sparsity:{n}" for n in tensor_names]
         self._f = open(path, "w", encoding="utf-8", newline="")
         self._f.write(",".join(self.cols) + "\n")
 
@@ -306,6 +314,12 @@ def evaluate_ppl(forward, tree: ParamTree, val_batches, vocab: int, adapters=Non
 def _prune(cfg: TrainConfig, tree: ParamTree, forward, task: Task) -> tuple[dict[str, Mask], dict[str, np.ndarray]]:
     if cfg.base_checkpoint:
         state = ckpt.load_state(cfg.base_checkpoint)
+        if state.deltas:
+            raise ValueError(
+                f"base checkpoint {cfg.base_checkpoint} holds a sparse delta, which a fine-tune would drop; `merge` folds it in"
+            )
+        if adapters_from_records(state.dense):
+            raise ValueError(f"base checkpoint {cfg.base_checkpoint} holds LoRA adapters, which a fine-tune would drop")
         ckpt.load_into(tree, state.dense, cfg.base_checkpoint)
         if state.masks:
             masks = {name: Mask(name, bits) for name, bits in state.masks.items()}
@@ -484,7 +498,6 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
                     edits,
                     cfg.sparsity,
                     base,
-                    step=step,
                     criterion=cfg.adapt_criterion,
                     source=cfg.adapt_source,
                     restrict_to_mask=schedule.restrict_growth,
@@ -504,7 +517,7 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
                 sums.fill(0.0)
         materialize(tree, base, delta)  # once per step, after the event on an event step
         if event and on_event is not None:
-            on_event(EventState(step, masks, delta, theta, report, arep))
+            on_event(EventState(step, masks, delta, report, arep))
 
         timings.write(f"{step},{(time.perf_counter() - t0) * 1000:.3f}\n")
         if step == cfg.steps or (cfg.eval_every and step % cfg.eval_every == 0):

@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -93,7 +96,7 @@ def planted_masks(cfg: TrainConfig, base_ckpt: str, sparsity: float):
     acts = collect_activation_norms(forward, tree, task.calib(2))
     masks = {}
     for name, t in tree.named_prunable():
-        scores = score_wanda(t.data, acts[name].norms)
+        scores = score_wanda(t.data, acts[name])
         masks[name] = build_mask(-scores, sparsity, name=name)  # keep the weakest
     return masks
 
@@ -115,14 +118,33 @@ def write_planted_base(tmp_path, cfg, base_ckpt, masks):
 # ---------------------------------------------------------------------------
 
 
+def _criterion_1_run(cfg: TrainConfig) -> tuple[int, float, list]:
+    """One criterion-1 fine-tune: its event count, worst error x numel, and the (step, tensor, error) failures."""
+    events = 0
+    worst = 0.0
+    failures = []
+
+    def check(ev):
+        nonlocal worst, events
+        events += 1
+        for name, mask in ev.masks.items():
+            numel = mask.bits.size
+            sup = support_coords(mask, EditMap(name, ev.delta.slices[name].indices, numel)).size
+            err = abs((1.0 - sup / numel) - cfg.sparsity)
+            worst = max(worst, err * numel)
+            if err > 1.0 / numel:
+                failures.append((ev.step, name, err))
+
+    train(cfg, on_event=check)
+    return events, worst, failures
+
+
 def test_criterion_1_sparsity_restoration(tmp_path):
     t0 = time.time()
     rho = 0.6
     rng = np.random.default_rng(99)
-    worst = 0.0
-    events_total = 0
-    for run_idx in range(20):
-        cfg = TrainConfig(
+    cfgs = [
+        TrainConfig(
             vocab=32, dim=64, heads=4, blocks=int(rng.integers(1, 3)), ff_mult=2,
             context=12, task="copy", copy_vocab=16, sparsity=rho,
             pruner=["wanda", "magnitude"][run_idx % 2], method="seft",
@@ -131,21 +153,16 @@ def test_criterion_1_sparsity_restoration(tmp_path):
             grad_accum=1, batch_size=2, seed=int(rng.integers(0, 10_000)),
             eval_every=0, calib_batches=2, out_dir=str(tmp_path), run_name=f"c1-{run_idx}",
         )
-        failures = []
-
-        def check(ev):
-            nonlocal worst, events_total
-            events_total += 1
-            for name, mask in ev.masks.items():
-                numel = mask.bits.size
-                sup = support_coords(mask, EditMap(name, ev.delta.slices[name].indices, numel)).size
-                err = abs((1.0 - sup / numel) - rho)
-                worst = max(worst, err * numel)
-                if err > 1.0 / numel:
-                    failures.append((ev.step, name, err))
-
-        train(cfg, on_event=check)
+        for run_idx in range(20)
+    ]
+    # the runs are independent: one process per core, spawned so no worker inherits this one's threads
+    workers = min(len(cfgs), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = list(pool.map(_criterion_1_run, cfgs))
+    for run_idx, (_, _, failures) in enumerate(runs):
         assert not failures, f"run {run_idx}: {failures[:3]}"
+    events_total = sum(events for events, _, _ in runs)
+    worst = max(run_worst for _, run_worst, _ in runs)
     report(1, events_total > 1000 and worst <= 1.0, f"20 runs x 2000 steps, {events_total} adaptation events, worst error {worst:.3f}/numel", t0)
 
 

@@ -199,7 +199,7 @@ def test_rebuild_below_budget_is_noop_logged_at_debug(caplog):
 def test_adaptation_repairs_under_budget_tensors():
     theta, mask, d = state(10, [0, 1], [5], [0.5], budget=4)  # support 3, keep budget 5
     window = {"t": np.arange(10, dtype=np.float64).reshape(1, 10)}
-    rep = adapt(window, theta, mask, d, None, 0.5, step=10)
+    rep = adapt(window, theta, mask, d, None, 0.5)
     assert rep.repaired == 2
     theta, mask, d = state(10, range(5), [6], [0.5], budget=1)  # support 6: trimmed, not repaired
     assert adapt(window, theta, mask, d, None, 0.5).repaired == 0
@@ -343,7 +343,7 @@ def test_repair_matches_full_sort_reference_randomized():
 def test_adaptation_noop_when_support_at_budget():
     theta, mask, d = state(10, range(5), [0], [0.5], budget=1)
     window = {"t": np.ones((1, 10))}
-    rep = adapt(window, theta, mask, d, None, 0.5, step=10)
+    rep = adapt(window, theta, mask, d, None, 0.5)
     assert rep.pruned_base == 0 and rep.pruned_delta == 0 and rep.repaired == 0
     assert rep.merged_sparsity == pytest.approx(0.5)
 
@@ -352,7 +352,7 @@ def test_adaptation_removes_exactly_m_grown():
     # support grew by 3 masked coordinates beyond the keep budget of 5
     theta, mask, d = state(10, range(5), [6, 7, 8], [0.1, 0.2, 0.3], budget=3)
     window = {"t": np.ones((1, 10))}
-    rep = adapt(window, theta, mask, d, None, 0.5, step=10)
+    rep = adapt(window, theta, mask, d, None, 0.5)
     assert rep.pruned_base + rep.pruned_delta == 3
     assert support_of(mask, d.slices["t"]).size == 5
     assert rep.merged_sparsity == pytest.approx(0.5)
@@ -377,7 +377,7 @@ def test_adaptation_per_tensor_budget_and_optimizer_alignment():
     opt = DeltaOptimState(d)
     opt.m["t"] += 1.0
     window = {"t": rng.normal(size=(1, numel))}
-    rep = adapt(window, theta, mask, d, opt, 0.6, step=10)
+    rep = adapt(window, theta, mask, d, opt, 0.6)
     td = d.slices["t"]
     assert opt.m["t"].shape == td.indices.shape == opt.v["t"].shape
     assert support_of(mask, td).size == keep_budget(numel, 0.6)

@@ -81,7 +81,7 @@ def test_a_malformed_nm_config_key_names_the_expected_form(tmp_path, capsys):
     p = tmp_path / "nm.json"
     p.write_text(json.dumps({"task": "copy", "sparsity": 0.5, "nm": "2", "out_dir": str(tmp_path)}))
     assert run(["prune", "--config", str(p)]) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: config key \"nm\" expects N:M such as 2:4, got '2'\n"
+    assert capsys.readouterr().err == "error: nm expects N:M such as 2:4, got '2'\n"
     with pytest.raises(ValueError, match="expects N:M such as 2:4, got 'a:b'"):
         TrainConfig.from_dict({"task": "copy", "sparsity": 0.5, "nm": "a:b"})
 
@@ -96,7 +96,13 @@ def test_a_malformed_nm_config_key_names_the_expected_form(tmp_path, capsys):
         (["--lr", "0"], "lr must be finite and > 0, got 0.0"),
         (["--lr", "inf"], "lr must be finite and > 0, got inf"),
         (["--lr", "nan"], "lr must be finite and > 0, got nan"),
-        (["--nm", "5:4"], "config key \"nm\" expects N:M such as 2:4, got '5:4'"),
+        (["--nm", "5:4"], "nm expects N:M such as 2:4, got '5:4'"),
+        (["--adapt-criterion", "foo"], "unknown adapt_criterion 'foo'; expected one of ('sensitivity', 'magnitude')"),
+        (["--adapt-source", "foo"], "unknown adapt_source 'foo'; expected one of ('pretrained', 'merged')"),
+        (["--pruner", "foo"], "unknown pruner 'foo'; expected one of ('magnitude', 'wanda')"),
+        (["--eval-every", "-3"], "eval_every must be >= 0, got -3"),
+        (["--copy-vocab", "0"], "copy_vocab must be >= 1, got 0"),
+        (["--calib-batches", "0"], "the wanda pruner needs calib_batches >= 1, got 0"),
     ],
 )
 def test_an_untrainable_config_is_refused_before_any_file_is_written(tmp_path, capsys, flags, message):
@@ -105,6 +111,35 @@ def test_an_untrainable_config_is_refused_before_any_file_is_written(tmp_path, c
     assert run(["finetune", *BASE, *flags, "--out-dir", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(out) == []
+
+
+def test_a_base_checkpoint_holding_a_delta_is_refused_until_merged(tmp_path, capsys):
+    assert run(["finetune", *BASE, "--out-dir", str(tmp_path), "--run-name", "seft"]) == EXIT_OK
+    ckpt = str(tmp_path / "seft.ckpt")
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(["finetune", *BASE, "--base-checkpoint", ckpt, "--out-dir", str(out)]) == EXIT_USAGE
+    want = f"error: base checkpoint {ckpt} holds a sparse delta, which a fine-tune would drop; `merge` folds it in\n"
+    assert capsys.readouterr().err == want
+    assert os.listdir(out) == []
+    merged = str(tmp_path / "seft.merged.ckpt")
+    assert run(["merge", ckpt, "--out", merged]) == EXIT_OK
+    assert run(["finetune", *BASE, "--base-checkpoint", merged, "--out-dir", str(out)]) == EXIT_OK
+
+
+def test_a_base_checkpoint_holding_lora_adapters_is_refused_and_so_is_its_merge(tmp_path, capsys):
+    assert run(["finetune", *BASE, "--method", "lora", "--out-dir", str(tmp_path), "--run-name", "lora"]) == EXIT_OK
+    ckpt = str(tmp_path / "lora.ckpt")
+    merged = str(tmp_path / "lora.merged.ckpt")
+    assert run(["merge", ckpt, "--out", merged]) == EXIT_OK
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    for base in (ckpt, merged):
+        assert run(["finetune", *BASE, "--base-checkpoint", base, "--out-dir", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: base checkpoint {base} holds LoRA adapters, which a fine-tune would drop\n"
+        assert os.listdir(out) == []
 
 
 def test_usage_errors_exit_one(capsys):

@@ -528,7 +528,7 @@ def test_flat_adamw_equals_a_per_tensor_loop_across_events():
                 for d, o in ((flat, flat_opt), (ref, ref_opt)):
                     remove_entries(d, n, drop, o)
                     insert_entries(d, n, free, o)
-        if step == 12:  # a caller's own arrays, as tests and `cli eval` assign them
+        if step == 12:  # arrays a caller assigns itself, as tests do
             for d in (flat, ref):
                 d.slices["a"].values = d.slices["a"].values * np.float32(0.5)
 

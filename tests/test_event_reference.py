@@ -77,8 +77,8 @@ def ref_evolve(delta, optim, window, masks, schedule, step, seen):
     quota = min(drop_quota(step, schedule, delta.budget_total), delta.support_size())
     names = list(delta.slices)
     sizes = [len(delta.slices[n]) for n in names]
-    report = EvolutionReport(step=step, quota=quota, dropped=0, grown=0, reactivations=0)
-    for name, share in sorted(zip(names, apportion(quota, sizes, caps=sizes))):
+    report = EvolutionReport(quota=quota, dropped=0, grown=0, reactivations=0)
+    for name, share in sorted(zip(names, apportion(quota, sizes))):
         td = delta.slices[name]
         bits = masks[name].bits.reshape(-1)
         dropped = select_drop(td, share)
@@ -113,9 +113,9 @@ def ref_scores(g, theta, mask, td, criterion, source):
     return coords, np.abs(w)
 
 
-def ref_adaptation_step(window, theta, masks, delta, optim, sparsity, step, criterion, source, restrict, seen):
+def ref_adaptation_step(window, theta, masks, delta, optim, sparsity, criterion, source, restrict, seen):
     scored = {n: ref_scores(window[n], theta[n], masks[n], td, criterion, source) for n, td in delta.slices.items()}
-    report = AdaptationReport(step=step)
+    report = AdaptationReport()
     for name, td in delta.slices.items():
         coords, scores = scored[name]
         budget = keep_budget(masks[name].bits.size, sparsity)
@@ -267,11 +267,11 @@ def test_event_equals_the_per_edit_reference_bitwise():
                 acc.accumulate(window)
                 edits = {n: EditMap(n, td.indices, masks[n].bits.size) for n, td in delta.slices.items()}
                 er = evolve(delta, edits, acc.sums, masks, schedule, step)
-                ar = adaptation_step(acc.sums, theta, masks, delta, edits, sparsity, base, step, criterion, source, restrict)
+                ar = adaptation_step(acc.sums, theta, masks, delta, edits, sparsity, base, criterion, source, restrict)
                 for entries in edits.values():
                     entries.rebuild(delta, optim)
                 ref_er = ref_evolve(*ref[:2], window, ref[2], schedule, step, seen)
-                ref_ar = ref_adaptation_step(window, theta, ref[2], *ref[:2], sparsity, step, criterion, source, restrict, seen)
+                ref_ar = ref_adaptation_step(window, theta, ref[2], *ref[:2], sparsity, criterion, source, restrict, seen)
                 assert report_fields(er) == report_fields(ref_er), where
                 assert report_fields(ar) == report_fields(ref_ar), where
                 assert_same((delta, optim, masks), ref, where)

@@ -206,16 +206,21 @@ def test_selection_matches_brute_force_randomized():
 
 
 def test_apportion_exact_and_capped():
-    assert apportion(10, [50, 50], [100, 100]) == [5, 5]
-    assert apportion(10, [90, 10], [100, 100]) == [9, 1]
-    assert apportion(10, [90, 10], [4, 100]) == [4, 6]
-    assert apportion(0, [5, 5], [5, 5]) == [0, 0]
-    assert sum(apportion(7, [3, 3, 3], [3, 3, 3])) == 7
+    assert apportion(10, [50, 50]) == [5, 5]
+    assert apportion(10, [90, 10]) == [9, 1]
+    assert apportion(0, [5, 5]) == [0, 0]
+    assert sum(apportion(7, [3, 3, 3])) == 7
 
 
 def test_apportion_deterministic_tie_order():
-    a = apportion(1, [5, 5], [5, 5])
+    a = apportion(1, [5, 5])
     assert a == [1, 0]
+
+
+@pytest.mark.parametrize("total", [-1, 11])
+def test_apportion_refuses_a_total_outside_zero_to_the_sizes_sum(total):
+    with pytest.raises(ValueError, match="outside"):
+        apportion(total, [5, 5])
 
 
 # --- evolve ---

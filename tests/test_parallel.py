@@ -123,7 +123,6 @@ def test_threaded_activation_norms_bitwise_equal_inline():
     calib = [x for x, _ in _val_batches()]
     # one batch after another, each tap's sum of squares folded as it comes
     want_sumsq: dict[str, np.ndarray] = {}
-    want_tokens: dict[str, int] = {}
     for x in calib:
         taps = {n: [] for n in tree.prunable_names()}
         forward(tree, x, taps=taps)
@@ -131,7 +130,6 @@ def test_threaded_activation_norms_bitwise_equal_inline():
             for arr in arrs:
                 a64 = arr.astype(np.float64)
                 want_sumsq[name] = want_sumsq.get(name, np.zeros(arr.shape[1])) + (a64 * a64).sum(axis=0)
-                want_tokens[name] = want_tokens.get(name, 0) + arr.shape[0]
     with forced_workers(1):
         inline = collect_activation_norms(forward, tree, calib)
     with forced_workers(4):
@@ -139,9 +137,8 @@ def test_threaded_activation_norms_bitwise_equal_inline():
     for acts in [inline, *runs]:
         assert list(acts) == tree.prunable_names()
         for name, a in acts.items():
-            assert a.tokens == want_tokens[name]
-            assert a.norms.dtype == np.float64
-            assert a.norms.tobytes() == np.sqrt(want_sumsq[name]).tobytes()
+            assert a.dtype == np.float64
+            assert a.tobytes() == np.sqrt(want_sumsq[name]).tobytes()
 
 
 def test_bad_id_in_third_val_batch_raises_the_same_error():
