@@ -94,6 +94,8 @@ def read_checkpoint(path: str) -> list[Record]:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"bad magic {blob[:4]!r}", offset=0)
+    if len(blob) < 6:
+        raise CheckpointError("truncated version", offset=4)
     (version,) = struct.unpack_from("<H", blob, 4)
     if version != VERSION:
         raise CheckpointError(f"unsupported version {version}", offset=4)

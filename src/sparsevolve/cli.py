@@ -149,7 +149,10 @@ ABLATION_GRIDS: dict[str, list[tuple[str, dict]]] = {
 
 def cmd_ablate(args) -> int:
     base = _build_config(args)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    texts = [s.strip() for s in args.seeds.split(",")]
+    if not all(s.isdecimal() for s in texts):  # checked before the first run, so no half-done grid
+        raise ValueError(f"--seeds expects comma-separated non-negative integers such as 0,1,2, got {args.seeds!r}")
+    seeds = [int(s) for s in texts]
     grid = args.grid
     out_dir = base.resolve_out_dir()
     os.makedirs(out_dir, exist_ok=True)

@@ -15,17 +15,17 @@ event ``EditMap.rebuild`` writes the sorted indices, values and moments back
 once through it: no sort, no search, no per-edit merge. ``insert_entries``
 and ``remove_entries`` are one grow or drop each on such a map.
 
-Flat layout. The optimizer keeps all delta values in one contiguous buffer,
-and each AdamW moment in another, in ``delta.slices`` order. Every
+Flat layout. ``DenseAdamW`` keeps all trained values in one contiguous
+vector, and each AdamW moment in another, laid out from named parts: for the
+delta one part per tensor, in ``delta.slices`` order. Every
 ``TensorDelta.values``, ``optim.m[name]`` and ``optim.v[name]`` is a view of
 its part of those buffers, so callers and checkpoint records still see one
-array per tensor. ``adamw_step`` packs on demand: when any of those arrays is
-no longer the view the last pack gave it (a rebuild replaces them at events,
-and a caller may assign its own), it rebuilds the three buffers once, keeping
-each slice's values, moments and dtype (slices of mixed dtypes are rejected).
-One AdamW update then runs over the whole buffers and writes the new values
-into them in place, so an array kept across a step sees the step; copy it to
-keep a snapshot.
+array per tensor. A rebuild hands the delta and the moments new arrays, so a
+topology event ends with one ``optim.relayout()``: it packs the buffers anew
+from the parts' current arrays and keeps the step count (parts of mixed
+dtypes are rejected). One AdamW update then runs over the whole buffers and
+writes the new values into them in place, so an array kept across a step
+sees the step; copy it to keep a snapshot.
 
 Merging. ``effective_weights`` copies a masked base (``pruning.masked_base``:
 the dense base with its pruned coordinates zeroed) and adds the delta at its
@@ -34,9 +34,10 @@ mask bits. In training the only code that clears bits, the adaptation trim
 (``adaptation.rebuild_mask``), zeroes the cached base at the coordinates it
 clears, so the base is computed once, after pruning.
 
-Optimizer. ``adamw_update`` is the one AdamW formula, shared with the dense
-adapters; the betas, epsilon and weight decay every run uses are the module
-constants below.
+Optimizer. ``adamw_update`` is the one AdamW formula and ``DenseAdamW`` the
+one optimizer: the sparse delta and the low-rank adapters each step through
+one, on a flat float64 gradient. The betas, epsilon and weight decay every
+run uses are the module constants below.
 """
 
 from __future__ import annotations
@@ -124,17 +125,6 @@ class SparseDelta:
         return sum(len(td) for td in self.slices.values())
 
 
-class DeltaOptimState:
-    """AdamW moments aligned entry-for-entry with the delta indices."""
-
-    def __init__(self, delta: SparseDelta):
-        self.m = {name: np.zeros(len(td), dtype=np.float64) for name, td in delta.slices.items()}
-        self.v = {name: np.zeros(len(td), dtype=np.float64) for name, td in delta.slices.items()}
-        self.step = 0
-        # the last pack: ((name, values view, m view, v view) per slice, flat values, flat m, flat v)
-        self.flat: tuple | None = None
-
-
 def allocate_budget(tree: ParamTree, rank: int) -> dict[str, int]:
     """Per-tensor entry budgets matching a rank-r adapter's parameter count."""
     if rank < 1:
@@ -203,44 +193,10 @@ def _check_aligned(delta: SparseDelta, grads: dict[str, np.ndarray]) -> None:
             raise ValueError(f"optimizer step: gradient for {name} misaligned (got {got}, need {td.values.shape})")
 
 
-def _packed(delta: SparseDelta, optim: DeltaOptimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flat values, m and v buffers; packed anew unless every slice is still the view the last pack gave it."""
-    if optim.flat is not None:
-        views, values, m, v = optim.flat
-        if len(views) == len(delta.slices) and all(
-            name == vname and td.values is vals and optim.m[name] is vm and optim.v[name] is vv
-            for (name, td), (vname, vals, vm, vv) in zip(delta.slices.items(), views)
-        ):
-            return values, m, v
-    for name, td in delta.slices.items():
-        if optim.m[name].shape != td.values.shape or optim.v[name].shape != td.values.shape:
-            raise ValueError(f"optimizer step: moments for {name} misaligned with its {len(td)} entries")
-    dtypes = {td.values.dtype for td in delta.slices.values()}
-    if len(dtypes) > 1:
-        raise ValueError(f"optimizer step: delta slices mix dtypes {sorted(map(str, dtypes))}")
-    names = list(delta.slices)
-    values = np.concatenate([delta.slices[n].values for n in names])
-    m = np.concatenate([optim.m[n] for n in names])
-    v = np.concatenate([optim.v[n] for n in names])
-    views = []
-    start = 0
-    for name in names:
-        td = delta.slices[name]
-        end = start + len(td)
-        td.values, optim.m[name], optim.v[name] = values[start:end], m[start:end], v[start:end]
-        views.append((name, td.values, optim.m[name], optim.v[name]))
-        start = end
-    optim.flat = (views, values, m, v)
-    return values, m, v
-
-
-def adamw_step(delta: SparseDelta, optim: DeltaOptimState, grads: dict[str, np.ndarray], lr: float) -> None:
-    """One AdamW step over the delta values, as one update of the flat buffers; indices never change here."""
+def adamw_step(delta: SparseDelta, optim: DenseAdamW, grads: dict[str, np.ndarray], lr: float) -> None:
+    """One AdamW step over the delta values from their gradients in slice order; indices never change here."""
     _check_aligned(delta, grads)
-    optim.step += 1
-    values, m, v = _packed(delta, optim)
-    g = np.concatenate([grads[name] for name in delta.slices], dtype=np.float64)
-    adamw_update(values, g, m, v, optim.step, lr, BETA1, BETA2, EPS, WEIGHT_DECAY, out=values)
+    optim.step(np.concatenate([grads[name] for name in delta.slices], dtype=np.float64), lr)
 
 
 def adamw_update(
@@ -286,6 +242,54 @@ def adamw_update(
         return update.astype(w.dtype)
     np.copyto(out, update, casting="same_kind")
     return out
+
+
+class DenseAdamW:
+    """AdamW over one flat vector of trained values, laid out from named parts.
+
+    ``parts`` maps a name to the ``(owner, attribute)`` holding the part's
+    array: a ``TensorDelta`` and ``"values"``, or an adapter's ``Tensor`` and
+    ``"data"``. ``relayout`` packs the parts end to end into ``w`` and their
+    float64 moments into one buffer each, then binds every owner's attribute,
+    ``m[name]`` and ``v[name]`` to that part's view, so each step, one
+    ``adamw_update`` over ``w`` in place, is seen through every part. An
+    owner handed a new array, as a rebuild does, is stepped only after the
+    next ``relayout``.
+    """
+
+    def __init__(self, parts: dict[str, tuple[object, str]]):
+        self.parts = parts
+        self.m = {name: np.zeros(getattr(owner, attr).shape) for name, (owner, attr) in parts.items()}
+        self.v = {name: np.zeros(getattr(owner, attr).shape) for name, (owner, attr) in parts.items()}
+        self.step_count = 0
+        self.relayout()
+
+    def relayout(self) -> None:
+        """Pack the parts' current arrays and moments into fresh buffers, each bound to its view; the step count stays."""
+        arrays = {name: getattr(owner, attr) for name, (owner, attr) in self.parts.items()}
+        for name, arr in arrays.items():
+            if self.m[name].shape != arr.shape or self.v[name].shape != arr.shape:
+                raise ValueError(f"optimizer layout: moments for {name} misaligned with its {arr.size} values")
+        dtypes = {arr.dtype for arr in arrays.values()}
+        if len(dtypes) > 1:
+            raise ValueError(f"optimizer layout: parts mix dtypes {sorted(map(str, dtypes))}")
+        self.w = np.concatenate(list(arrays.values()), axis=None)
+        self._m = np.concatenate([self.m[name] for name in arrays], axis=None)
+        self._v = np.concatenate([self.v[name] for name in arrays], axis=None)
+        start = 0
+        for name, (owner, attr) in self.parts.items():
+            shape = arrays[name].shape
+            end = start + arrays[name].size
+            setattr(owner, attr, self.w[start:end].reshape(shape))
+            self.m[name], self.v[name] = self._m[start:end].reshape(shape), self._v[start:end].reshape(shape)
+            start = end
+
+    def step(self, g: np.ndarray, lr: float) -> None:
+        """One AdamW update of ``w`` in place from ``g``, its float64 gradient laid out the same way."""
+        if g.shape != self.w.shape:
+            raise ValueError(f"optimizer step: gradient misaligned (got {g.shape}, need {self.w.shape})")
+        self.step_count += 1
+        adamw_update(self.w, g, self._m, self._v, self.step_count, lr, BETA1, BETA2, EPS, WEIGHT_DECAY, out=self.w)
 
 
 class EditMap:
@@ -355,7 +359,7 @@ class EditMap:
             out.append(new)
         return tuple(out)
 
-    def rebuild(self, delta: SparseDelta, optim: DeltaOptimState | None = None) -> None:
+    def rebuild(self, delta: SparseDelta, optim: DenseAdamW | None = None) -> None:
         """Write the edited entries back into ``delta`` (and ``optim``): one gather per array, nothing if unedited."""
         if not self.edited:
             return
@@ -368,8 +372,8 @@ class EditMap:
             )
 
 
-def _edit_once(delta: SparseDelta, name: str, coords: np.ndarray, optim: DeltaOptimState | None, edit) -> None:
-    """``edit`` (``EditMap.grow`` or ``EditMap.drop``) on a map just large enough, rebuilt at once."""
+def _edit_once(delta: SparseDelta, name: str, coords: np.ndarray, optim: DenseAdamW | None, edit) -> None:
+    """``edit`` (``EditMap.grow`` or ``EditMap.drop``) on a map just large enough, rebuilt and laid out at once."""
     coords = np.asarray(coords, dtype=np.int64)
     if coords.size == 0:
         return
@@ -379,14 +383,16 @@ def _edit_once(delta: SparseDelta, name: str, coords: np.ndarray, optim: DeltaOp
     edits = EditMap(name, td.indices, 1 + int(max(coords.max(), td.indices[-1] if len(td) else 0)))
     edit(edits, coords)
     edits.rebuild(delta, optim)
+    if optim is not None:
+        optim.relayout()
 
 
-def insert_entries(delta: SparseDelta, name: str, new_indices: np.ndarray, optim: DeltaOptimState | None = None) -> None:
+def insert_entries(delta: SparseDelta, name: str, new_indices: np.ndarray, optim: DenseAdamW | None = None) -> None:
     """Insert zero-valued entries (and zero moments) at new coordinates: one ``EditMap`` grow and rebuild."""
     _edit_once(delta, name, new_indices, optim, EditMap.grow)
 
 
-def remove_entries(delta: SparseDelta, name: str, drop_indices: np.ndarray, optim: DeltaOptimState | None = None) -> None:
+def remove_entries(delta: SparseDelta, name: str, drop_indices: np.ndarray, optim: DenseAdamW | None = None) -> None:
     """Discard entries (values and moments) at existing coordinates: one ``EditMap`` drop and rebuild."""
     _edit_once(delta, name, drop_indices, optim, EditMap.drop)
 

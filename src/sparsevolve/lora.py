@@ -28,9 +28,6 @@ class LoraAdapter:
     a: Tensor  # [rank, in_dim]
     b: Tensor  # [out_dim, rank], zero-initialized so the adapter starts silent
 
-    def param_count(self) -> int:
-        return self.a.data.size + self.b.data.size
-
     def delta_matrix(self) -> np.ndarray:
         return self.b.data @ self.a.data
 
@@ -66,10 +63,6 @@ def adapters_from_records(dense: dict[str, np.ndarray]) -> dict[str, LoraAdapter
         if name != key and f"{name}.lora_b" in dense:
             adapters[name] = LoraAdapter(Tensor(a), Tensor(dense[f"{name}.lora_b"]))
     return adapters
-
-
-def trainable_count(adapters: dict[str, LoraAdapter]) -> int:
-    return sum(ad_.param_count() for ad_ in adapters.values())
 
 
 def merge_and_reprune(

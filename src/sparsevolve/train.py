@@ -40,22 +40,17 @@ from .adaptation import (
 from .autodiff import Tensor
 from .data import IGNORE, Task, make_task
 from .delta import (
-    BETA1,
-    BETA2,
-    EPS,
-    WEIGHT_DECAY,
-    DeltaOptimState,
+    DenseAdamW,
     EditMap,
     SparseDelta,
     adamw_step,
-    adamw_update,
     allocate_budget,
     gather_grads,
     init_support,
     materialize,
 )
 from .evolution import EvolutionReport, EvolutionSchedule, GradAccumulator, drop_quota, evolve
-from .lora import adapter_records, adapters_from_records, build_adapters, merge_and_reprune, trainable_count
+from .lora import adapter_records, adapters_from_records, build_adapters, merge_and_reprune
 from .models import ModelConfig, ParamTree, build_transformer
 from .pruning import SCORERS, Mask, apply_mask, masked_base, prune_model
 
@@ -122,6 +117,8 @@ class TrainConfig:
             raise ValueError("every, grad_accum and batch_size must be >= 1")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.drop_rate < 1.0:
             raise ValueError(f"drop_rate must be in (0, 1), got {self.drop_rate}")
         if self.rank < 1:
@@ -263,24 +260,6 @@ class MetricsWriter:
 
     def close(self) -> None:
         self._f.close()
-
-
-class DenseAdamW:
-    """AdamW over whole tensors (used for the low-rank adapter baselines)."""
-
-    def __init__(self, params: list[Tensor], lr: float):
-        self.params = params
-        self.lr = lr
-        self.m = [np.zeros(p.data.shape, dtype=np.float64) for p in params]
-        self.v = [np.zeros(p.data.shape, dtype=np.float64) for p in params]
-        self.step_count = 0
-
-    def step(self, grads: dict[Tensor, np.ndarray], grad_scale: float) -> None:
-        """One update of every parameter from its gradient in ``grads``, times ``grad_scale``."""
-        self.step_count += 1
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = grads[p].astype(np.float64) * grad_scale
-            p.data = adamw_update(p.data, g, m, v, self.step_count, self.lr, BETA1, BETA2, EPS, WEIGHT_DECAY)
 
 
 def _eval_batch(forward, tree: ParamTree, vocab: int, adapters, batch) -> tuple[float, int]:
@@ -451,9 +430,9 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
     )
     budgets = allocate_budget(tree, cfg.rank)
     delta = init_support(theta, masks, budgets, restrict_to_mask=schedule.restrict_growth)
-    optim = DeltaOptimState(delta)
+    optim = DenseAdamW({name: (td, "values") for name, td in delta.slices.items()})
     acc = GradAccumulator({n: t.data.shape for n, t in tree.named_prunable()})
-    result.trainable_params = delta.budget_total
+    result.trainable_params = optim.w.size
 
     tree.set_requires_grad(False)
     tree.set_requires_grad(True, names=tree.prunable_names())
@@ -513,6 +492,7 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
                 metrics.row("adapt", **row)
             for entries in edits.values():
                 entries.rebuild(delta, optim)
+            optim.relayout()
             for sums in acc.sums.values():  # the next window starts from zero, in place
                 sums.fill(0.0)
         materialize(tree, base, delta)  # once per step, after the event on an event step
@@ -528,19 +508,19 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
 
 def _train_lora(cfg, tree, forward, task, rng, masks, theta, metrics, timings, eval_row, result):
     adapters = build_adapters(tree, cfg.rank, seed=cfg.seed + 1)
-    result.trainable_params = trainable_count(adapters)
     tree.set_requires_grad(False)
-    params = []
-    for a in adapters.values():
-        params.extend([a.a, a.b])
-    opt = DenseAdamW(params, lr=cfg.lr)
+    params = {f"{name}.lora_{ab}": (getattr(adapter, ab), "data") for name, adapter in adapters.items() for ab in "ab"}
+    opt = DenseAdamW(params)
+    result.trainable_params = opt.w.size
 
     train_loss = None
     for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
         train_loss, grads = _backward_pass(cfg, tree, forward, task, rng, cfg.vocab, adapters=adapters)
-        opt.step(grads, grad_scale=1.0 / cfg.grad_accum)
-        del grads  # not kept alive into the next backward
+        g = np.concatenate([grads[t] for t, _ in params.values()], axis=None, dtype=np.float64)
+        g *= 1.0 / cfg.grad_accum
+        opt.step(g, cfg.lr)
+        del grads, g  # not kept alive into the next backward
         timings.write(f"{step},{(time.perf_counter() - t0) * 1000:.3f}\n")
         if step == cfg.steps or (cfg.eval_every and step % cfg.eval_every == 0):
             eval_row(step, train_loss, None, adapters=adapters)

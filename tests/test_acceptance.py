@@ -17,7 +17,7 @@ from sparsevolve import checkpoint as ck
 from sparsevolve.adaptation import keep_budget, rebuild_mask, support_coords
 from sparsevolve.autodiff import Tape, Tensor
 from sparsevolve.delta import (
-    DeltaOptimState,
+    DenseAdamW,
     EditMap,
     SparseDelta,
     TensorDelta,
@@ -26,7 +26,7 @@ from sparsevolve.delta import (
     init_support,
 )
 from sparsevolve.evolution import EvolutionSchedule, GradAccumulator, evolve, select_drop, select_grow
-from sparsevolve.lora import LoraAdapter, build_adapters, merge_and_reprune, trainable_count
+from sparsevolve.lora import LoraAdapter, adapter_records, build_adapters, merge_and_reprune
 from sparsevolve.models import ModelConfig, _linear, build_transformer
 from sparsevolve.pruning import Mask, build_mask, masked_base, prune_model, score_wanda
 from sparsevolve.train import TrainConfig, train
@@ -38,6 +38,13 @@ def report(criterion: int, ok: bool, detail: str, t0: float):
     status = "PASS" if ok else "FAIL"
     print(f"\n[{status}] criterion {criterion}: {detail} ({time.time() - t0:.1f}s)")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def map_on_cores(fn, items: list) -> list:
+    """``fn`` over independent ``items``, one process per core, spawned so no worker inherits this one's threads."""
+    workers = min(len(items), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, items))
 
 
 @pytest.fixture(scope="module")
@@ -155,10 +162,7 @@ def test_criterion_1_sparsity_restoration(tmp_path):
         )
         for run_idx in range(20)
     ]
-    # the runs are independent: one process per core, spawned so no worker inherits this one's threads
-    workers = min(len(cfgs), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        runs = list(pool.map(_criterion_1_run, cfgs))
+    runs = map_on_cores(_criterion_1_run, cfgs)
     for run_idx, (_, _, failures) in enumerate(runs):
         assert not failures, f"run {run_idx}: {failures[:3]}"
     events_total = sum(events for events, _, _ in runs)
@@ -180,7 +184,7 @@ def test_criterion_2_budget_conservation():
         idx = np.sort(rng.choice(numel, size=support, replace=False))
         delta = SparseDelta({"t": support})
         delta.slices["t"] = TensorDelta(idx, rng.normal(size=support).astype(np.float32))
-        optim = DeltaOptimState(delta)
+        optim = DenseAdamW({"t": (delta.slices["t"], "values")})
         acc = GradAccumulator({"t": (numel,)})
         acc.accumulate({"t": rng.normal(size=numel)})
         masks = {"t": Mask("t", (rng.random(numel) < 0.5).reshape(1, -1))}
@@ -195,6 +199,7 @@ def test_criterion_2_budget_conservation():
         edits = {"t": EditMap("t", idx, numel)}
         evolve(delta, edits, acc.sums, masks, sched, step)
         edits["t"].rebuild(delta, optim)
+        optim.relayout()
         assert delta.support_size() == before
     report(2, True, "|support| conserved across 1000 randomized evolve cycles", t0)
 
@@ -401,16 +406,18 @@ def test_criterion_6_recovery_direction(word_corpus, tmp_path):
     )
     frozen = train(frozen_cfg)
 
-    wins = []
-    for seed in (0, 1, 2):
-        cfg = TrainConfig(
+    cfgs = [
+        TrainConfig(
             vocab=256, dim=64, heads=4, blocks=2, ff_mult=2, context=32, task="char-lm",
             corpus=word_corpus, sparsity=0.6, pruner="wanda", method="seft", rank=16,
             lr=1e-3, steps=400, every=10, drop_rate=0.2, grad_accum=1, batch_size=8,
             seed=seed, eval_every=400, calib_batches=4, base_checkpoint=base,
             out_dir=str(tmp_path), run_name=f"c6-seft-{seed}",
         )
-        res = train(cfg)
+        for seed in (0, 1, 2)
+    ]
+    wins = []
+    for res in map_on_cores(train, cfgs):
         wins.append(res.final_ppl < frozen.final_ppl)
         assert abs(res.final_sparsity - 0.6) < 1e-3
     ok = all(wins)
@@ -496,7 +503,7 @@ def test_criterion_9_budget_parity():
     for rank in (8, 16, 32, 64):
         budgets = allocate_budget(tree, rank)
         adapters = build_adapters(tree, rank)
-        assert sum(budgets.values()) == trainable_count(adapters)
+        assert sum(budgets.values()) == sum(w.size for w in adapter_records(adapters).values())
     report(9, True, "delta budget equals adapter parameter count exactly for ranks 8/16/32/64", t0)
 
 

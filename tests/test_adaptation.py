@@ -10,7 +10,7 @@ from sparsevolve.adaptation import (
     repair_support,
     support_coords,
 )
-from sparsevolve.delta import DeltaOptimState, EditMap, SparseDelta, TensorDelta, insert_entries, remove_entries
+from sparsevolve.delta import DenseAdamW, EditMap, SparseDelta, TensorDelta, insert_entries, remove_entries
 from sparsevolve.pruning import Mask, masked_base
 
 
@@ -49,6 +49,8 @@ def adapt(window, theta, mask, d, optim, sparsity, **kw):
     report = adaptation_step(window, {"t": theta}, {"t": mask}, d, edits, sparsity, base_of(theta, mask), **kw)
     for entries in edits.values():
         entries.rebuild(d, optim)
+    if optim is not None:
+        optim.relayout()
     return report
 
 
@@ -70,6 +72,8 @@ def repair_and_rebuild(window, masks, d, optim, sparsity, restrict_to_mask=False
     repaired = repair_support(window, masks, d, edits, sparsity, restrict_to_mask)
     for entries in edits.values():
         entries.rebuild(d, optim)
+    if optim is not None:
+        optim.relayout()
     return repaired
 
 
@@ -326,7 +330,7 @@ def test_repair_matches_full_sort_reference_randomized():
         runs = []
         for repair in (repair_and_rebuild, reference_repair):
             _, mask, d = state(numel, mask_coords, delta_coords, vals, budget=max(budget, 1))
-            opt = DeltaOptimState(d)
+            opt = DenseAdamW({"t": (d.slices["t"], "values")})
             opt.m["t"] += np.arange(n_delta)
             n = repair(window, {"t": mask}, d, opt, sparsity, restrict)
             td = d.slices["t"]
@@ -374,7 +378,7 @@ def test_adaptation_per_tensor_budget_and_optimizer_alignment():
     mask_coords = np.arange(16)
     delta_coords = np.array([2, 17, 25, 33])
     theta, mask, d = state(numel, mask_coords, delta_coords, rng.normal(size=4), budget=4)
-    opt = DeltaOptimState(d)
+    opt = DenseAdamW({"t": (d.slices["t"], "values")})
     opt.m["t"] += 1.0
     window = {"t": rng.normal(size=(1, numel))}
     rep = adapt(window, theta, mask, d, opt, 0.6)

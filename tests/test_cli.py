@@ -103,6 +103,7 @@ def test_a_malformed_nm_config_key_names_the_expected_form(tmp_path, capsys):
         (["--eval-every", "-3"], "eval_every must be >= 0, got -3"),
         (["--copy-vocab", "0"], "copy_vocab must be >= 1, got 0"),
         (["--calib-batches", "0"], "the wanda pruner needs calib_batches >= 1, got 0"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_an_untrainable_config_is_refused_before_any_file_is_written(tmp_path, capsys, flags, message):
@@ -110,6 +111,16 @@ def test_an_untrainable_config_is_refused_before_any_file_is_written(tmp_path, c
     out.mkdir()
     assert run(["finetune", *BASE, *flags, "--out-dir", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("seeds", ["x", "0,x", "0,-1", "1.5", ""])
+def test_ablate_refuses_malformed_seeds_before_any_run(tmp_path, capsys, seeds):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["ablate", "--grid", "adaptation", "--seeds", seeds, *BASE, "--out-dir", str(out)]) == EXIT_USAGE
+    want = f"error: --seeds expects comma-separated non-negative integers such as 0,1,2, got {seeds!r}\n"
+    assert capsys.readouterr().err == want
     assert os.listdir(out) == []
 
 
@@ -354,6 +365,21 @@ def test_a_record_name_that_is_not_utf8_is_a_corrupt_checkpoint(finetuned, tmp_p
     assert run(["inspect", str(ckpt)]) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert err.startswith("corrupt checkpoint: ") and err.rstrip().endswith("(at byte offset 8)"), err
+
+
+@pytest.mark.parametrize("blob", [b"SEFT", b"SEFT\x01"])
+def test_a_file_shorter_than_the_header_is_a_corrupt_checkpoint(finetuned, tmp_path, capsys, blob):
+    ckpt = tmp_path / "short.ckpt"
+    ckpt.write_bytes(blob)
+    shutil.copy(str(finetuned) + ".json", str(ckpt) + ".json")  # eval reads the meta first, then the file
+    with pytest.raises(ck.CheckpointError, match=r"truncated version \(at byte offset 4\)"):
+        ck.read_checkpoint(str(ckpt))
+    capsys.readouterr()
+    assert run(["inspect", str(ckpt)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "corrupt checkpoint: truncated version (at byte offset 4)\n"
+    for argv in (["merge", str(ckpt), "--out", str(tmp_path / "merged.ckpt")], ["eval", str(ckpt)]):
+        assert run(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr().err == "error: truncated version (at byte offset 4)\n", argv
 
 
 def test_a_task_whose_token_ids_exceed_the_model_vocabulary_is_refused(finetuned, tmp_path, capsys):

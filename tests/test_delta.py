@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sparsevolve import autodiff as ad
 from sparsevolve.autodiff import Tape, Tensor
 from sparsevolve.delta import (
-    DeltaOptimState,
+    DenseAdamW,
     EditMap,
     SparseDelta,
     TensorDelta,
@@ -32,6 +32,11 @@ def make_delta(indices, values, budget=None, dtype=np.float64):
     d = SparseDelta({"t": budget or len(indices)}, dtype=dtype)
     d.slices["t"] = TensorDelta(np.asarray(indices), np.asarray(values, dtype=dtype), dtype=dtype)
     return d
+
+
+def delta_adamw(delta):
+    """The training loop's optimizer over a delta: one part per slice, bound to its values."""
+    return DenseAdamW({name: (td, "values") for name, td in delta.slices.items()})
 
 
 def reference_merge(theta, bits, td):
@@ -139,7 +144,7 @@ def test_effective_weights_linear_in_delta():
 
 def test_zero_gradient_leaves_values():
     d = make_delta([1, 4], [0.5, -0.5])
-    opt = DeltaOptimState(d)
+    opt = delta_adamw(d)
     adamw_step(d, opt, {"t": np.zeros(2)}, lr=0.1)
     np.testing.assert_array_equal(d.slices["t"].values, [0.5, -0.5])
 
@@ -147,7 +152,7 @@ def test_zero_gradient_leaves_values():
 def test_first_adamw_step_moves_by_lr():
     # bias-corrected moments make the first update g / (|g| + eps): a plain step of lr
     d = make_delta([3], [0.0])
-    adamw_step(d, DeltaOptimState(d), {"t": np.array([1.0])}, lr=0.1)
+    adamw_step(d, delta_adamw(d), {"t": np.array([1.0])}, lr=0.1)
     assert d.slices["t"].values[0] == pytest.approx(-0.1)
 
 
@@ -165,7 +170,7 @@ def scalar_adamw_reference(phi, g_seq, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.0):
 def test_adamw_matches_scalar_reference():
     g_seq = [0.3, -0.7, 1.2, 0.05]
     d = make_delta([2], [0.1])
-    opt = DeltaOptimState(d)
+    opt = delta_adamw(d)
     for g in g_seq:
         adamw_step(d, opt, {"t": np.array([g])}, lr=1e-2)
     expect = scalar_adamw_reference(0.1, g_seq, lr=1e-2)
@@ -181,34 +186,44 @@ def test_adamw_weight_decay_matches_reference():
     assert w[0] == pytest.approx(expect, abs=1e-12)
 
 
-def test_sparse_and_dense_adamw_agree_bitwise_with_the_vectorized_reference():
-    from sparsevolve.train import DenseAdamW
+def vectorized_adamw(w, m, v, g64, t, lr):
+    """The formula written out over float64 arrays: bias corrections once per step, no weight decay, cast back."""
+    m = 0.9 * m + (1.0 - 0.9) * g64
+    v = 0.999 * v + (1.0 - 0.999) * g64 * g64
+    update = (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+    return (w.astype(np.float64) - lr * update).astype(w.dtype), m, v
 
+
+def test_sparse_and_dense_adamw_agree_bitwise_with_the_vectorized_reference():
+    # the delta's values and an adapter pair step through the one optimizer class, each
+    # as its training loop feeds it: the delta from its float32 slice gradients, the
+    # adapters from one float64 vector scaled by 1/grad_accum in place (here 2), which
+    # is the per-tensor astype(float64) * scale of the reference
     rng = np.random.default_rng(0)
     w0 = rng.normal(size=6).astype(np.float32)
     d = make_delta(np.arange(6), w0, dtype=np.float32)
-    opt = DeltaOptimState(d)
-    p = Tensor(w0.copy())
-    dense = DenseAdamW([p], lr=1e-2)
-    w, m, v = w0.copy(), np.zeros(6), np.zeros(6)
+    opt = delta_adamw(d)
+    a, b = Tensor(w0.reshape(2, 3).copy()), Tensor(w0[::-1].reshape(3, 2).copy())
+    dense = DenseAdamW({"x.lora_a": (a, "data"), "x.lora_b": (b, "data")})
+    ref = {name: (arr.copy(), np.zeros(arr.shape), np.zeros(arr.shape)) for name, arr in (("t", w0), ("a", a.data), ("b", b.data))}
     for t in range(1, 6):
-        g = rng.normal(size=6).astype(np.float32)
-        adamw_step(d, opt, {"t": g}, lr=1e-2)
-        dense.step({p: g}, grad_scale=1.0)
-        # float64 moments, bias corrections once per step, no weight decay, cast back
-        g64 = g.astype(np.float64)
-        m = 0.9 * m + (1.0 - 0.9) * g64
-        v = 0.999 * v + (1.0 - 0.999) * g64 * g64
-        update = (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
-        w64 = w.astype(np.float64)
-        w = (w64 - 1e-2 * update).astype(np.float32)
-        assert d.slices["t"].values.tobytes() == w.tobytes()
-        assert p.data.tobytes() == w.tobytes()
+        g = {name: rng.normal(size=ref[name][0].shape).astype(np.float32) for name in ref}
+        adamw_step(d, opt, {"t": g["t"]}, lr=1e-2)
+        flat = np.concatenate([g["a"], g["b"]], axis=None, dtype=np.float64)
+        flat *= 1.0 / 2
+        dense.step(flat, lr=1e-2)
+        for name, scale in (("t", 1.0), ("a", 0.5), ("b", 0.5)):
+            ref[name] = vectorized_adamw(*ref[name], g[name].astype(np.float64) * scale, t, 1e-2)
+        assert d.slices["t"].values.tobytes() == ref["t"][0].tobytes()
+        for name, p in (("a", a), ("b", b)):
+            assert p.data.shape == ref[name][0].shape and p.data.tobytes() == ref[name][0].tobytes()
+            assert p.data.base is dense.w  # bound to the vector, not copied out of it
+    assert dense.step_count == opt.step_count == 5
 
 
 def test_misaligned_grads_error():
     d = make_delta([1, 2], [0.0, 0.0])
-    opt = DeltaOptimState(d)
+    opt = delta_adamw(d)
     with pytest.raises(ValueError, match="misaligned"):
         adamw_step(d, opt, {"t": np.zeros(3)}, lr=0.1)
     with pytest.raises(ValueError, match="misaligned"):
@@ -217,10 +232,10 @@ def test_misaligned_grads_error():
 
 def test_step_changes_only_values():
     d = make_delta([1, 5, 9], [0.0, 0.0, 0.0])
-    opt = DeltaOptimState(d)
+    opt = delta_adamw(d)
     adamw_step(d, opt, {"t": np.array([1.0, -1.0, 2.0])}, lr=0.1)
     np.testing.assert_array_equal(d.slices["t"].indices, [1, 5, 9])
-    assert opt.step == 1
+    assert opt.step_count == 1
 
 
 # --- insert / remove ---
@@ -228,7 +243,7 @@ def test_step_changes_only_values():
 
 def test_insert_then_remove_roundtrip():
     d = make_delta([3], [0.5])
-    opt = DeltaOptimState(d)
+    opt = delta_adamw(d)
     insert_entries(d, "t", np.array([7]), opt)
     remove_entries(d, "t", np.array([7]), opt)
     np.testing.assert_array_equal(d.slices["t"].indices, [3])
@@ -257,7 +272,7 @@ def test_thousand_random_ops_vs_set_oracle():
     rng = np.random.default_rng(21)
     numel = 200
     d = make_delta([], [], budget=numel)
-    opt = DeltaOptimState(d)
+    opt = delta_adamw(d)
     model: dict[int, float] = {}
     for _ in range(1000):
         present = sorted(model)
@@ -283,7 +298,7 @@ def test_thousand_random_ops_vs_set_oracle():
 
 def test_edit_map_regrown_coordinate_restarts_at_zero_and_others_carry():
     d = make_delta([1, 4, 6, 9], [0.5, -1.0, 2.0, 3.0], budget=5)
-    opt = DeltaOptimState(d)
+    opt = delta_adamw(d)
     opt.m["t"][:] = [1.0, 2.0, 3.0, 4.0]
     opt.v["t"][:] = [5.0, 6.0, 7.0, 8.0]
     edits = EditMap("t", d.slices["t"].indices, 12)
@@ -341,7 +356,7 @@ def test_insert_entries_matches_np_insert_reference(numel, seed, dtype):
     n_new = int(rng.integers(0, numel - n_old + 1))
     old, new = np.sort(coords[:n_old]), coords[n_old : n_old + n_new]  # new arrives unsorted
     d = make_delta(old, rng.normal(size=n_old), budget=numel, dtype=dtype)
-    opt = DeltaOptimState(d)
+    opt = delta_adamw(d)
     opt.m["t"] = rng.normal(size=n_old)
     opt.v["t"] = rng.random(n_old)
     want = reference_insert(d.slices["t"], opt.m["t"], opt.v["t"], new)
@@ -492,16 +507,29 @@ def test_materialize_from_the_cached_base_equals_the_reference_merge_through_a_r
     assert seen["pruned_base"] > 0  # adaptation cleared base bits, so a stale base would show
 
 
+class PerTensorMoments:
+    """The reference optimizer state: one float64 moment array per tensor, nothing flat to lay out."""
+
+    def __init__(self, delta):
+        self.m = {name: np.zeros(len(td)) for name, td in delta.slices.items()}
+        self.v = {name: np.zeros(len(td)) for name, td in delta.slices.items()}
+        self.step_count = 0
+
+    def relayout(self):
+        pass
+
+
 def per_tensor_adamw(delta, optim, grads, lr):
     """The reference step: one ``adamw_update`` per tensor, each slice its own array, no weight decay."""
-    optim.step += 1
+    optim.step_count += 1
     for name, td in delta.slices.items():
-        td.values = adamw_update(td.values, grads[name], optim.m[name], optim.v[name], optim.step, lr, 0.9, 0.999, 1e-8, 0.0)
+        td.values = adamw_update(td.values, grads[name], optim.m[name], optim.v[name], optim.step_count, lr, 0.9, 0.999, 1e-8, 0.0)
 
 
 def test_flat_adamw_equals_a_per_tensor_loop_across_events():
     # slices in non-sorted order and of different sizes; events insert and remove
-    # entries between steps (a repack), and one step follows a caller's own assignment
+    # entries between steps (each edit lays the optimizer out anew), and one step
+    # follows a caller's own assignment, after the caller's own relayout
     rng = np.random.default_rng(5)
     numels = {"b": 40, "a": 25, "c": 60}
     deltas = [SparseDelta(numels, dtype=np.float32) for _ in range(2)]
@@ -511,12 +539,12 @@ def test_flat_adamw_equals_a_per_tensor_loop_across_events():
         for d in deltas:
             d.slices[n] = TensorDelta(idx, vals.copy())
     flat, ref = deltas
-    flat_opt, ref_opt = DeltaOptimState(flat), DeltaOptimState(ref)
+    flat_opt, ref_opt = delta_adamw(flat), PerTensorMoments(ref)
     for step in range(1, 31):
         grads = {n: rng.normal(size=len(td)).astype(np.float32) for n, td in flat.slices.items()}
         adamw_step(flat, flat_opt, grads, lr=1e-2)
         per_tensor_adamw(ref, ref_opt, grads, lr=1e-2)
-        assert all(td.values.base is flat_opt.flat[1] for td in flat.slices.values())  # views of one buffer
+        assert all(td.values.base is flat_opt.w for td in flat.slices.values())  # views of one buffer
         for n in numels:
             for got, want in ((flat.slices[n].values, ref.slices[n].values), (flat_opt.m[n], ref_opt.m[n]), (flat_opt.v[n], ref_opt.v[n])):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (step, n)
@@ -528,20 +556,23 @@ def test_flat_adamw_equals_a_per_tensor_loop_across_events():
                 for d, o in ((flat, flat_opt), (ref, ref_opt)):
                     remove_entries(d, n, drop, o)
                     insert_entries(d, n, free, o)
-        if step == 12:  # arrays a caller assigns itself, as tests do
+        if step == 12:  # arrays a caller assigns itself, as tests do, then lays out itself
             for d in (flat, ref):
                 d.slices["a"].values = d.slices["a"].values * np.float32(0.5)
+            flat_opt.relayout()
+    assert flat_opt.step_count == 30
 
 
 def test_flat_adamw_rejects_misaligned_moments_and_mixed_dtypes():
     d = SparseDelta({"a": 2, "b": 2}, dtype=np.float32)
     d.slices["a"] = TensorDelta([0, 1], np.zeros(2, np.float32))
     d.slices["b"] = TensorDelta([0, 1], np.zeros(2), dtype=np.float64)
-    opt = DeltaOptimState(d)
-    grads = {"a": np.ones(2), "b": np.ones(2)}
     with pytest.raises(ValueError, match="mix dtypes"):
-        adamw_step(d, opt, grads, lr=0.1)
+        delta_adamw(d)
     d.slices["b"] = TensorDelta([0, 1], np.zeros(2, np.float32))
+    opt = delta_adamw(d)
     opt.m["b"] = np.zeros(3)
     with pytest.raises(ValueError, match="moments for b misaligned"):
-        adamw_step(d, opt, grads, lr=0.1)
+        opt.relayout()
+    with pytest.raises(ValueError, match="gradient misaligned"):
+        opt.step(np.ones(5), lr=0.1)

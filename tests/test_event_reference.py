@@ -27,7 +27,7 @@ from sparsevolve.adaptation import (
     adaptation_step,
     keep_budget,
 )
-from sparsevolve.delta import DeltaOptimState, EditMap, SparseDelta, TensorDelta, top_k
+from sparsevolve.delta import DenseAdamW, EditMap, SparseDelta, TensorDelta, top_k
 from sparsevolve.evolution import (
     EvolutionReport,
     EvolutionSchedule,
@@ -194,9 +194,10 @@ def random_state(rng, sparsity):
         delta.budgets[name] = entries.size + int(rng.integers(0, 3))
         m[name] = rng.normal(size=entries.size)
         v[name] = rng.random(entries.size) + 0.5
-    optim = DeltaOptimState(delta)
+    optim = DenseAdamW({name: (td, "values") for name, td in delta.slices.items()})
     optim.m.update(m)
     optim.v.update(v)
+    optim.relayout()
     return theta, masks, delta, optim
 
 
@@ -270,6 +271,7 @@ def test_event_equals_the_per_edit_reference_bitwise():
                 ar = adaptation_step(acc.sums, theta, masks, delta, edits, sparsity, base, criterion, source, restrict)
                 for entries in edits.values():
                     entries.rebuild(delta, optim)
+                optim.relayout()
                 ref_er = ref_evolve(*ref[:2], window, ref[2], schedule, step, seen)
                 ref_ar = ref_adaptation_step(window, theta, ref[2], *ref[:2], sparsity, criterion, source, restrict, seen)
                 assert report_fields(er) == report_fields(ref_er), where

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsevolve.delta import DeltaOptimState, EditMap, SparseDelta, TensorDelta, insert_entries, remove_entries
+from sparsevolve.delta import DenseAdamW, EditMap, SparseDelta, TensorDelta, insert_entries, remove_entries
 from sparsevolve.evolution import (
     EvolutionSchedule,
     GradAccumulator,
@@ -28,6 +28,8 @@ def evolve_and_rebuild(delta, optim, window, masks, schedule, step):
     report = evolve(delta, edits, window, masks, schedule, step)
     for entries in edits.values():
         entries.rebuild(delta, optim)
+    if optim is not None:
+        optim.relayout()
     return report
 
 
@@ -234,7 +236,7 @@ def test_evolve_budget_conservation_randomized():
         idx = np.sort(rng.choice(numel, size=support, replace=False))
         vals = rng.normal(size=support)
         d = make_delta({"a": (idx, vals)})
-        opt = DeltaOptimState(d)
+        opt = DenseAdamW({"a": (d.slices["a"], "values")})
         acc = GradAccumulator({"a": (numel,)})
         acc.accumulate({"a": rng.normal(size=numel)})
         masks = {"a": Mask("a", (rng.random(numel) < 0.5).reshape(1, -1))}

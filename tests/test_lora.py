@@ -6,7 +6,7 @@ from sparsevolve.adaptation import merged_support_sparsity
 from sparsevolve.autodiff import Tensor
 from sparsevolve.delta import allocate_budget
 from sparsevolve.evolution import EvolutionSchedule
-from sparsevolve.lora import LoraAdapter, build_adapters, merge_and_reprune, trainable_count
+from sparsevolve.lora import LoraAdapter, adapter_records, build_adapters, merge_and_reprune
 from sparsevolve.models import ModelConfig, _linear, build_transformer
 from sparsevolve.pruning import prune_model
 
@@ -50,7 +50,7 @@ def test_trainable_count_matches_delta_budget_exactly():
     for rank in (8, 16, 32, 64):
         adapters = build_adapters(tree, rank)
         budgets = allocate_budget(tree, rank)
-        assert trainable_count(adapters) == sum(budgets.values())
+        assert sum(w.size for w in adapter_records(adapters).values()) == sum(budgets.values())
 
 
 def test_adapter_shapes_and_init():

@@ -245,6 +245,37 @@ def test_lora_star_final_state_is_sparse(tmp_path):
     assert report.delta_support == 0
 
 
+def test_adapter_weights_stay_views_of_the_optimizer_vector_through_a_lora_run(tmp_path, monkeypatch):
+    # the adapters' .data are bound to the one flat vector, so every step is seen by the
+    # forward pass without a copy back; the checkpoint holds what the last step wrote
+    from sparsevolve.delta import DenseAdamW, allocate_budget
+
+    seen = {"steps": 0}
+    real_build, real_step = train_mod.build_adapters, DenseAdamW.step
+
+    def build(*args, **kwargs):
+        seen["adapters"] = real_build(*args, **kwargs)
+        return seen["adapters"]
+
+    def step(self, g, lr):
+        real_step(self, g, lr)
+        seen["steps"] += 1
+        seen["opt"] = self
+        for adapter in seen["adapters"].values():
+            assert adapter.a.data.base is self.w and adapter.b.data.base is self.w, seen["steps"]
+
+    monkeypatch.setattr(train_mod, "build_adapters", build)
+    monkeypatch.setattr(DenseAdamW, "step", step)
+    cfg = cfg_for(tmp_path, method="lora", steps=12, eval_every=5, run_name="views")
+    res = train(cfg)
+    assert seen["steps"] == cfg.steps
+    dense = ck.load_state(res.checkpoint).dense
+    saved = np.concatenate([dense[f"{name}.lora_{ab}"] for name in seen["adapters"] for ab in "ab"], axis=None)
+    assert saved.tobytes() == seen["opt"].w.tobytes()
+    tree, _ = build_transformer(cfg.model_config())
+    assert res.trainable_params == seen["opt"].w.size == sum(allocate_budget(tree, cfg.rank).values())
+
+
 def test_lora_star_reprune_keeps_the_nm_pattern(tmp_path, monkeypatch):
     repruned = []
     reprune = train_mod.merge_and_reprune
