@@ -47,6 +47,7 @@ RUNS = {
     "char-lm": CHAR_LM,
     "char-lm-lora-star": dict(CHAR_LM, method="lora-star"),
     "base-checkpoint": dict(COPY, steps=20),
+    "prune": dict(COPY, method="frozen", steps=0),
 }
 
 
