@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     except NumericFailure as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, FileNotFoundError, KeyError) as e:
+    except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,7 +2,9 @@
 
 One loop drives every method: the evolving sparse delta (optionally
 mask-constrained), low-rank adapters with optional post-hoc re-pruning, and
-the frozen pruned baseline. Runs are deterministic given a config and seed:
+the frozen pruned baseline, which runs none of its steps. A method's setup
+builds what it trains and the step's ``update``; the loop, the eval rows and
+the checkpoint save are shared. Runs are deterministic given a config and seed:
 the metrics CSV and checkpoints are bitwise reproducible. Wall-clock numbers
 go to a separate timings file so they cannot perturb that guarantee.
 
@@ -56,6 +58,8 @@ from .pruning import SCORERS, Mask, apply_mask, masked_base, prune_model
 
 METHODS = ("seft", "seft-constrained", "lora", "lora-star", "frozen")
 OUT_ENV = "SPARSEVOLVE_OUT"
+# the values each annotated field type admits; bool, an int subclass, only where the type says bool
+FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,), "str | None": (str, type(None))}
 
 
 class NumericFailure(RuntimeError):
@@ -109,6 +113,10 @@ class TrainConfig:
     base_checkpoint: str | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):  # a config file's JSON can hold any type: check each before use
+            value = getattr(self, f.name)
+            if not isinstance(value, FIELD_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not 0.0 <= self.sparsity < 1.0:
@@ -147,7 +155,7 @@ class TrainConfig:
 
     def nm_pair(self) -> tuple[int, int] | None:
         """The N:M pattern as ``(N, M)``, or None for unstructured masks."""
-        return parse_nm(str(self.nm), "nm") if self.nm else None
+        return parse_nm(self.nm, "nm") if self.nm else None
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -185,9 +193,9 @@ class TrainConfig:
         """The file's fields with ``overrides`` laid over them."""
         with open(path, "r", encoding="utf-8") as f:
             d = json.load(f)
-        if overrides:
-            d.update(overrides)
-        return cls.from_dict(d)
+        if not isinstance(d, dict):
+            raise ValueError(f"config file {path} must hold a JSON object, got {type(d).__name__}")
+        return cls.from_dict(d | (overrides or {}))
 
 
 @dataclass
@@ -221,8 +229,10 @@ class TrainResult:
 class MetricsWriter:
     """Single CSV with a fixed header; one row kind per event type.
 
-    Rows are buffered, not flushed one by one: ``close`` (which ``train``
-    calls in a ``finally``) writes what is left, also when the run raises.
+    The file is opened at the first row, so a run refused during its setup
+    leaves none. Rows are buffered, not flushed one by one: ``close`` (which
+    ``train`` calls in a ``finally``) writes what is left, also when the run
+    raises.
     """
 
     BASE_COLS = [
@@ -243,8 +253,8 @@ class MetricsWriter:
 
     def __init__(self, path: str, tensor_names: list[str]):
         self.cols = self.BASE_COLS + [f"sparsity:{n}" for n in tensor_names]
-        self._f = open(path, "w", encoding="utf-8", newline="")
-        self._f.write(",".join(self.cols) + "\n")
+        self._path = path
+        self._f = None
 
     @staticmethod
     def _fmt(v) -> str:
@@ -255,11 +265,15 @@ class MetricsWriter:
         return str(v)
 
     def row(self, kind: str, **values) -> None:
+        if self._f is None:
+            self._f = open(self._path, "w", encoding="utf-8", newline="")
+            self._f.write(",".join(self.cols) + "\n")
         values["kind"] = kind
         self._f.write(",".join(self._fmt(values.get(c)) for c in self.cols) + "\n")
 
     def close(self) -> None:
-        self._f.close()
+        if self._f is not None:
+            self._f.close()
 
 
 def _eval_batch(forward, tree: ParamTree, vocab: int, adapters, batch) -> tuple[float, int]:
@@ -334,10 +348,6 @@ def train(cfg: TrainConfig, on_event=None) -> TrainResult:
 
     masks, theta = _prune(cfg, tree, forward, task)
 
-    metrics = MetricsWriter(metrics_path, list(masks))
-    timings = open(timings_path, "w", encoding="utf-8")
-    timings.write("step,wall_ms\n")
-
     result = TrainResult(
         checkpoint=ckpt_path,
         metrics=metrics_path,
@@ -345,15 +355,25 @@ def train(cfg: TrainConfig, on_event=None) -> TrainResult:
         final_ppl=float("nan"),
         final_sparsity=None,
     )
+    metrics = MetricsWriter(metrics_path, list(masks))  # opens its file at its first row: a setup below may refuse the run
+    tree.set_requires_grad(False)  # a method's setup marks what it trains
+    delta = schedule = adapters = update = None  # the frozen baseline, and a run of no steps, train nothing
+    if cfg.steps and cfg.method in ("seft", "seft-constrained"):
+        delta, schedule, update = _sparse_delta(cfg, tree, theta, masks, metrics, result, on_event)
+    elif cfg.steps and cfg.method in ("lora", "lora-star"):
+        adapters, update = _lora(cfg, tree, result)
+    timings = open(timings_path, "w", encoding="utf-8")
+    timings.write("step,wall_ms\n")
 
-    def eval_row(step: int, train_loss: float | None, delta: SparseDelta | None, adapters=None, quota=None) -> float:
-        ppl = evaluate_ppl(forward, tree, task.val_batches, mc.vocab, adapters=adapters)
-        g, per = merged_support_sparsity(masks, delta)
+    def eval_row(step: int, train_loss: float | None) -> None:
+        trained = step > 0  # row 0 scores the pruned base, as no delta entry or adapter has trained yet
+        ppl = evaluate_ppl(forward, tree, task.val_batches, mc.vocab, adapters=adapters if trained else None)
+        g, per = merged_support_sparsity(masks, delta if trained else None)
         row = {
             "step": step,
             "train_loss": train_loss,
             "eval_ppl": ppl,
-            "quota": quota,
+            "quota": drop_quota(step, schedule, delta.budget_total) if trained and delta is not None else None,
             "sparsity_global": g,
         }
         row.update({f"sparsity:{n}": s for n, s in per.items()})
@@ -361,20 +381,41 @@ def train(cfg: TrainConfig, on_event=None) -> TrainResult:
         result.eval_history.append((step, ppl))
         result.final_ppl = ppl
         result.final_sparsity = g
-        return ppl
 
     try:
-        if cfg.method == "frozen" or cfg.steps == 0:
-            eval_row(0, None, None)
-            _save_state(cfg, tree, task, theta, masks, None, ckpt_path, result)
-            return result
+        eval_row(0, None)
+        train_loss = None
+        if update is not None:
+            for step in range(1, cfg.steps + 1):
+                t0 = time.perf_counter()
+                train_loss, grads = _backward_pass(cfg, tree, forward, task, rng, cfg.vocab, adapters=adapters)
+                update(step, grads)
+                del grads  # not kept alive into the next backward
+                timings.write(f"{step},{(time.perf_counter() - t0) * 1000:.3f}\n")
+                if step == cfg.steps or (cfg.eval_every and step % cfg.eval_every == 0):
+                    eval_row(step, train_loss)
 
-        eval_row(0, None, None)
+        if adapters is not None and cfg.method == "lora-star":
+            masks, theta = merge_and_reprune(
+                tree, forward, masks, adapters, task.calib(cfg.calib_batches), cfg.sparsity, scorer=cfg.pruner, nm=cfg.nm_pair()
+            )
+            adapters = None  # folded into the base, which the re-prune's masks now cover
+            eval_row(cfg.steps, train_loss)
 
-        if cfg.method in ("seft", "seft-constrained"):
-            _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, timings, eval_row, result, on_event)
-            return result
-        _train_lora(cfg, tree, forward, task, rng, masks, theta, metrics, timings, eval_row, result)
+        extra = adapter_records(adapters) if adapters is not None else None
+        ckpt.write_checkpoint(ckpt_path, ckpt.state_records(tree, theta, masks, delta, extra_dense=extra))
+        meta = {
+            "config": cfg.to_dict(),
+            "final_ppl": result.final_ppl,
+            "final_sparsity": result.final_sparsity,
+            "trainable_params": result.trainable_params,
+            "blas_threads": blas_threads(),
+            # the step's rule, on a validation batch: shaped as a training batch unless a corpus's
+            # validation split holds fewer windows than one batch
+            "micro_batch_workers": parallel.workers(cfg.grad_accum, parallel.batch_elements(tree, task.val_batches[0][0])),
+            "malloc_tuned": malloc_tuned(),
+        }
+        ckpt.save_meta(ckpt_path, meta)
         return result
     finally:
         metrics.close()
@@ -420,7 +461,8 @@ def _backward_pass(cfg: TrainConfig, tree, forward, task, rng, vocab: int, adapt
     return mean, grads
 
 
-def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, timings, eval_row, result, on_event):
+def _sparse_delta(cfg, tree, theta, masks, metrics, result, on_event):
+    """The delta, its schedule, and ``update(step, grads)``: AdamW on the mean gradient, the event, ``materialize``."""
     schedule = EvolutionSchedule(
         drop_rate=cfg.drop_rate,
         total_steps=cfg.steps,
@@ -434,23 +476,18 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
     acc = GradAccumulator({n: t.data.shape for n, t in tree.named_prunable()})
     result.trainable_params = optim.w.size
 
-    tree.set_requires_grad(False)
     tree.set_requires_grad(True, names=tree.prunable_names())
     base = masked_base(theta, masks)  # a cache of the mask bits: the adaptation trim zeroes what it clears
     materialize(tree, base, delta)
 
-    train_loss = None
-    for step in range(1, cfg.steps + 1):
-        t0 = time.perf_counter()
-        train_loss, grads = _backward_pass(cfg, tree, forward, task, rng, cfg.vocab)
+    def update(step: int, grads: dict[Tensor, np.ndarray]) -> None:
         if cfg.grad_accum == 1:  # x / 1 is exact: pass the gradients through, no dense copies
             dense_grads = {n: grads[t] for n, t in tree.named_prunable()}
         else:
             dense_grads = {n: grads[t] / cfg.grad_accum for n, t in tree.named_prunable()}
-        del grads  # dense_grads holds what the step reads
         acc.accumulate(dense_grads)
         adamw_step(delta, optim, gather_grads(delta, dense_grads), cfg.lr)
-        del dense_grads  # this step's gradients are not kept alive into the next backward
+        del dense_grads  # the event reads the window sums, not this step's gradients
 
         event = step % cfg.every == 0
         if event:  # one edit map per tensor for the whole event, rebuilt once at its end
@@ -499,57 +536,19 @@ def _train_sparse_delta(cfg, tree, forward, task, rng, masks, theta, metrics, ti
         if event and on_event is not None:
             on_event(EventState(step, masks, delta, report, arep))
 
-        timings.write(f"{step},{(time.perf_counter() - t0) * 1000:.3f}\n")
-        if step == cfg.steps or (cfg.eval_every and step % cfg.eval_every == 0):
-            eval_row(step, train_loss, delta, quota=drop_quota(step, schedule, delta.budget_total))
-
-    _save_state(cfg, tree, task, theta, masks, delta, result.checkpoint, result)
+    return delta, schedule, update
 
 
-def _train_lora(cfg, tree, forward, task, rng, masks, theta, metrics, timings, eval_row, result):
+def _lora(cfg, tree, result):
+    """Adapters on the frozen base, and ``update(step, grads)``: their AdamW step on the mean gradient."""
     adapters = build_adapters(tree, cfg.rank, seed=cfg.seed + 1)
-    tree.set_requires_grad(False)
     params = {f"{name}.lora_{ab}": (getattr(adapter, ab), "data") for name, adapter in adapters.items() for ab in "ab"}
     opt = DenseAdamW(params)
     result.trainable_params = opt.w.size
 
-    train_loss = None
-    for step in range(1, cfg.steps + 1):
-        t0 = time.perf_counter()
-        train_loss, grads = _backward_pass(cfg, tree, forward, task, rng, cfg.vocab, adapters=adapters)
+    def update(step: int, grads: dict[Tensor, np.ndarray]) -> None:
         g = np.concatenate([grads[t] for t, _ in params.values()], axis=None, dtype=np.float64)
         g *= 1.0 / cfg.grad_accum
         opt.step(g, cfg.lr)
-        del grads, g  # not kept alive into the next backward
-        timings.write(f"{step},{(time.perf_counter() - t0) * 1000:.3f}\n")
-        if step == cfg.steps or (cfg.eval_every and step % cfg.eval_every == 0):
-            eval_row(step, train_loss, None, adapters=adapters)
 
-    if cfg.method == "lora-star":
-        new_masks, merged = merge_and_reprune(
-            tree, forward, masks, adapters, task.calib(cfg.calib_batches), cfg.sparsity, scorer=cfg.pruner, nm=cfg.nm_pair()
-        )
-        theta.update(merged)
-        masks.clear()
-        masks.update(new_masks)
-        eval_row(cfg.steps, train_loss, None)
-        _save_state(cfg, tree, task, theta, masks, None, result.checkpoint, result)
-    else:
-        _save_state(cfg, tree, task, theta, masks, None, result.checkpoint, result, extra_dense=adapter_records(adapters))
-
-
-def _save_state(cfg, tree, task, theta, masks, delta, path, result, extra_dense=None):
-    records = ckpt.state_records(tree, theta, masks, delta, extra_dense=extra_dense)
-    ckpt.write_checkpoint(path, records)
-    meta = {
-        "config": cfg.to_dict(),
-        "final_ppl": result.final_ppl,
-        "final_sparsity": result.final_sparsity,
-        "trainable_params": result.trainable_params,
-        "blas_threads": blas_threads(),
-        # the step's rule, on a validation batch: shaped as a training batch unless a corpus's
-        # validation split holds fewer windows than one batch
-        "micro_batch_workers": parallel.workers(cfg.grad_accum, parallel.batch_elements(tree, task.val_batches[0][0])),
-        "malloc_tuned": malloc_tuned(),
-    }
-    ckpt.save_meta(path, meta)
+    return adapters, update

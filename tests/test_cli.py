@@ -104,6 +104,11 @@ def test_a_malformed_nm_config_key_names_the_expected_form(tmp_path, capsys):
         (["--copy-vocab", "0"], "copy_vocab must be >= 1, got 0"),
         (["--calib-batches", "0"], "the wanda pruner needs calib_batches >= 1, got 0"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--rank", "33"], "allocate_budget: budget 4224 exceeds numel 4096 for block0.attn.wq at rank 33"),
+        (
+            ["--method", "seft-constrained", "--sparsity", "0.9"],
+            "init_support: budget 512 exceeds 448 active coordinates for block0.attn.wq",
+        ),
     ],
 )
 def test_an_untrainable_config_is_refused_before_any_file_is_written(tmp_path, capsys, flags, message):
@@ -112,6 +117,50 @@ def test_an_untrainable_config_is_refused_before_any_file_is_written(tmp_path, c
     assert run(["finetune", *BASE, *flags, "--out-dir", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"adapt": "no"}, "adapt must be of type bool, got 'no'"),
+        ({"adapt": 1}, "adapt must be of type bool, got 1"),
+        ({"grad_accum": 2.0}, "grad_accum must be of type int, got 2.0"),
+        ({"steps": "ten"}, "steps must be of type int, got 'ten'"),
+        ({"steps": True}, "steps must be of type int, got True"),
+        ({"sparsity": None}, "sparsity must be of type float, got None"),
+        ({"lr": False}, "lr must be of type float, got False"),
+        ({"nm": 24}, "nm must be of type str, got 24"),
+        ({"run_name": 7}, "run_name must be of type str | None, got 7"),
+    ],
+)
+def test_a_config_value_of_the_wrong_json_type_is_refused_before_any_file_is_written(tmp_path, capsys, fields, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"task": "copy", "dim": 64, "context": 16, "batch_size": 4, "calib_batches": 2, **fields}))
+    assert run(["finetune", "--config", str(p), "--out-dir", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(out) == []
+
+
+def test_a_config_file_that_is_not_a_json_object_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    p = tmp_path / "cfg.json"
+    p.write_text("[1, 2]")
+    assert run(["finetune", "--config", str(p), "--out-dir", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: config file {p} must hold a JSON object, got list\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", [["inspect", "{d}"], ["merge", "{d}", "--out", "{x}"], ["finetune", "--config", "{d}"]])
+def test_a_directory_where_a_file_is_expected_is_one_error_line(tmp_path, capsys, command):
+    d, x = tmp_path / "d", tmp_path / "x"
+    d.mkdir()
+    assert run([a.format(d=d, x=x) for a in command]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(d) in err
+    assert not x.exists()
 
 
 @pytest.mark.parametrize("seeds", ["x", "0,x", "0,-1", "1.5", ""])

@@ -55,6 +55,21 @@ def test_full_run_determinism_bitwise(tmp_path):
     assert open(r1.checkpoint, "rb").read() == open(r2.checkpoint, "rb").read()
 
 
+@pytest.mark.parametrize("method", ["seft", "seft-constrained", "lora", "lora-star", "frozen"])
+@pytest.mark.parametrize("steps", [0, 25])
+def test_every_method_times_each_step_and_evaluates_on_the_shared_cadence(tmp_path, method, steps):
+    res = train(cfg_for(tmp_path, method=method, steps=steps, eval_every=10, run_name=f"{method}{steps}"))
+    with open(res.timings) as f:
+        lines = f.read().splitlines()
+    trains = steps and method != "frozen"
+    assert lines[0] == "step,wall_ms"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == (list(range(1, steps + 1)) if trains else [])
+    evals = [0, 10, 20, 25] if trains else [0]
+    if trains and method == "lora-star":
+        evals.append(steps)  # the re-pruned merge's row
+    assert [step for step, _ in res.eval_history] == evals
+
+
 def test_seed_changes_results(tmp_path):
     r1 = train(cfg_for(tmp_path / "a", run_name="s", seed=0))
     r2 = train(cfg_for(tmp_path / "b", run_name="s", seed=1))
