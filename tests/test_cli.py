@@ -137,7 +137,7 @@ def test_a_config_value_of_the_wrong_json_type_is_refused_before_any_file_is_wri
     out = tmp_path / "out"
     out.mkdir()
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"task": "copy", "dim": 64, "context": 16, "batch_size": 4, "calib_batches": 2, **fields}))
+    p.write_text(json.dumps({"task": "copy", "dim": 64, "context": 16, "steps": 2, "batch_size": 4, "calib_batches": 2, **fields}))
     assert run(["finetune", "--config", str(p), "--out-dir", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(out) == []
